@@ -75,7 +75,7 @@ def rho(w, tol: float = 1e-10) -> float:
     return float(max(best, 0.0))
 
 
-def reconstruction_error(ap, k: IndexSet, tol_nnls: float = 1e-10) -> float:
+def reconstruction_error(ap, k: IndexSet) -> float:
     """Root mean square NNLS residual of all columns against A'(:, K).
 
     Matches the pipeline's self-reconstruction report: with A' of shape
@@ -91,7 +91,7 @@ def reconstruction_error(ap, k: IndexSet, tol_nnls: float = 1e-10) -> float:
     for j in range(n):
         if in_set[j]:
             continue  # a retained column reconstructs itself exactly
-        res = nnls_solve(dictionary, arr[:, j], tol_nnls=tol_nnls)
+        res = nnls_solve(dictionary, arr[:, j])
         total += res.residual_norm**2
     return float(np.sqrt(total / (rdim * n)))
 

@@ -5,6 +5,12 @@ selection: the entering variable is the one with the most negative gradient,
 ties broken by lowest index. Inner least-squares subproblems go through
 LAPACK's gelsy (QR with column pivoting), which returns a minimum-norm
 solution when the passive set is rank deficient.
+
+The stop test is derived from the data, not set by the caller. Every
+gradient entry b_j'(y - Bx) is at most ||B||_F * ||y||_2 in size, since the
+residual never grows past ||y||_2; the loop ends when no entry exceeds that
+bound times 16 * eps (machine epsilon). Rescaling B or y rescales the test
+with them, so small-norm data is solved as exactly as unit-norm data.
 """
 
 from __future__ import annotations
@@ -27,19 +33,13 @@ class NnlsResult:
     iterations: int
 
 
-def nnls_solve(
-    b_mat,
-    y,
-    tol_nnls: float = 1e-10,
-    max_iter: int | None = None,
-) -> NnlsResult:
+def nnls_solve(b_mat, y) -> NnlsResult:
     """Solve min ||B x - y||_2 subject to x >= 0.
 
-    ``max_iter`` caps the number of least-squares subproblem solves and
-    defaults to 10 * (number of columns); exceeding it raises MaxIterations.
-    The result satisfies the KKT conditions within ``tol_nnls``: x >= 0
-    exactly, gradient B'(Bx - y) >= -tol elementwise, and complementarity
-    |x'g| <= tol * (1 + ||y||^2).
+    On return x >= 0 exactly, x solves the least-squares problem on its
+    support, and off the support every gradient entry of B'(Bx - y) is
+    >= -16 * eps * ||B||_F * ||y||_2. ``iterations`` counts least-squares
+    subproblem solves; more than 10 * (number of columns) raise MaxIterations.
     """
     B = np.asarray(b_mat, dtype=np.float64)
     if B.ndim != 2:
@@ -48,13 +48,13 @@ def nnls_solve(
     d, m = B.shape
     if yv.size != d:
         raise DimensionMismatch(f"target length {yv.size} does not match {d} rows")
-    if max_iter is None:
-        max_iter = 10 * max(m, 1)
+    max_solves = 10 * max(m, 1)
 
     x = np.zeros(m)
     if m == 0:
         return NnlsResult(x=x, residual_norm=float(np.linalg.norm(yv)), iterations=0)
 
+    tol = 16.0 * np.finfo(np.float64).eps * np.linalg.norm(B) * np.linalg.norm(yv)
     passive = np.zeros(m, dtype=bool)
     w = B.T @ yv
     solves = 0
@@ -63,15 +63,15 @@ def nnls_solve(
         if not active.any():
             break
         wa = w[active]
-        if wa.max() <= tol_nnls:
+        if wa.max() <= tol:
             break
         enter = np.flatnonzero(active)[int(np.argmax(wa))]
         passive[enter] = True
         while True:
             cols = np.flatnonzero(passive)
-            if solves >= max_iter:
+            if solves >= max_solves:
                 raise MaxIterations(
-                    f"nnls exceeded {max_iter} least-squares solves"
+                    f"nnls exceeded {max_solves} least-squares solves"
                 )
             z, *_ = _lstsq(B[:, cols], yv, lapack_driver="gelsy")
             solves += 1
@@ -97,16 +97,11 @@ def nnls_solve(
     return NnlsResult(x=x, residual_norm=residual, iterations=solves)
 
 
-def cone_membership(
-    dictionary,
-    target,
-    eps_feas: float = 1e-8,
-    tol_nnls: float = 1e-10,
-) -> tuple[bool, NnlsResult]:
+def cone_membership(dictionary, target, eps_feas: float = 1e-8) -> tuple[bool, NnlsResult]:
     """Test whether ``target`` lies in the cone of the dictionary columns.
 
     Membership means the NNLS residual is strictly below ``eps_feas``. The
     NnlsResult is returned alongside so callers can reuse the residual.
     """
-    res = nnls_solve(as_values(dictionary), target, tol_nnls=tol_nnls)
+    res = nnls_solve(as_values(dictionary), target)
     return res.residual_norm < eps_feas, res

@@ -102,14 +102,7 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
     streams = root.spawn(cfg.tau + 1)
 
     ap = reduce_dimension(arr, cfg.r)
-    k = drs(
-        ap,
-        cfg.p,
-        eps_feas=tol.eps_feas,
-        seed=streams[0],
-        tol_nnls=tol.tol_nnls,
-        threads=cfg.threads,
-    )
+    k = drs(ap, cfg.p, eps_feas=tol.eps_feas, seed=streams[0], threads=cfg.threads)
     outside = np.setdiff1d(np.arange(n, dtype=np.int64), k.indices)
     if cfg.lam > outside.size:
         raise InsufficientColumns(

@@ -20,7 +20,7 @@ from .core import IndexSet, as_values
 from .nnls import cone_membership
 
 
-def dr(a, eps_feas: float = 1e-8, tol_nnls: float = 1e-10) -> IndexSet:
+def dr(a, eps_feas: float = 1e-8) -> IndexSet:
     """Single-pass redundancy removal over the columns of ``a``."""
     arr = as_values(a)
     n = arr.shape[1]
@@ -31,9 +31,7 @@ def dr(a, eps_feas: float = 1e-8, tol_nnls: float = 1e-10) -> IndexSet:
         if others.size == 0:
             surviving[i] = True
             continue
-        member, _ = cone_membership(
-            arr[:, others], arr[:, i], eps_feas=eps_feas, tol_nnls=tol_nnls
-        )
+        member, _ = cone_membership(arr[:, others], arr[:, i], eps_feas=eps_feas)
         if not member:
             surviving[i] = True
     return IndexSet(np.flatnonzero(surviving))
@@ -54,14 +52,13 @@ def drs_stages(
     p: int,
     eps_feas: float = 1e-8,
     seed: int | np.random.SeedSequence = 0,
-    tol_nnls: float = 1e-10,
     threads: int = 1,
 ) -> DrsStages:
     arr = as_values(a)
     part = kmeans_partition(arr, p, seed)
 
     def reduce_group(group: IndexSet) -> IndexSet:
-        local = dr(arr[:, group.indices], eps_feas=eps_feas, tol_nnls=tol_nnls)
+        local = dr(arr[:, group.indices], eps_feas=eps_feas)
         return IndexSet(group.indices[local.indices])
 
     if threads > 1 and part.p > 1:
@@ -71,7 +68,7 @@ def drs_stages(
         keeps = tuple(reduce_group(g) for g in part.groups)
 
     union = IndexSet(np.unique(np.concatenate([k.indices for k in keeps])))
-    local_final = dr(arr[:, union.indices], eps_feas=eps_feas, tol_nnls=tol_nnls)
+    local_final = dr(arr[:, union.indices], eps_feas=eps_feas)
     final = IndexSet(union.indices[local_final.indices])
     return DrsStages(partition=part, group_keeps=keeps, union=union, final=final)
 
@@ -81,13 +78,10 @@ def drs(
     p: int,
     eps_feas: float = 1e-8,
     seed: int | np.random.SeedSequence = 0,
-    tol_nnls: float = 1e-10,
     threads: int = 1,
 ) -> IndexSet:
     """Split-and-merge redundancy removal (k-means into p groups, then dr)."""
-    return drs_stages(
-        a, p, eps_feas=eps_feas, seed=seed, tol_nnls=tol_nnls, threads=threads
-    ).final
+    return drs_stages(a, p, eps_feas=eps_feas, seed=seed, threads=threads).final
 
 
 @dataclass(frozen=True)
@@ -104,9 +98,7 @@ class GammaReport:
     witness: int | None
 
 
-def verify_gamma(
-    a, k: IndexSet, eps_feas: float = 1e-8, tol_nnls: float = 1e-10
-) -> GammaReport:
+def verify_gamma(a, k: IndexSet, eps_feas: float = 1e-8) -> GammaReport:
     arr = as_values(a)
     k.validate_for(arr.shape[1])
     kidx = k.indices
@@ -119,9 +111,7 @@ def verify_gamma(
     for j in range(arr.shape[1]):
         if in_set[j]:
             continue
-        member, _ = cone_membership(
-            dictionary, arr[:, j], eps_feas=eps_feas, tol_nnls=tol_nnls
-        )
+        member, _ = cone_membership(dictionary, arr[:, j], eps_feas=eps_feas)
         if not member:
             in_gamma = False
             witness = j
@@ -132,9 +122,7 @@ def verify_gamma(
         rest = np.delete(kidx, pos)
         if rest.size == 0:
             continue
-        member, _ = cone_membership(
-            arr[:, rest], arr[:, kidx[pos]], eps_feas=eps_feas, tol_nnls=tol_nnls
-        )
+        member, _ = cone_membership(arr[:, rest], arr[:, kidx[pos]], eps_feas=eps_feas)
         if member:
             minimal = False
             if witness is None:

@@ -66,6 +66,23 @@ def test_matches_enumeration_and_kkt(case_seed):
     assert abs(grad @ res.x) <= 1e-7 * (1.0 + abs(res.residual_norm))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-4])
+def test_matches_enumeration_at_small_scale(scale):
+    # Criterion 6 on data multiplied by ``scale``. The residual scales with
+    # the data, so the gap is taken relative to the scale; the gradient
+    # scales as scale**2, and a stop test not scaled with it quits early.
+    rng = np.random.default_rng(1006)
+    worst = 0.0
+    for _ in range(500):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        b = scale * rng.normal(size=(d, m))
+        y = scale * rng.normal(size=d)
+        _, exact = nnls_enumerate(b, y)
+        worst = max(worst, abs(nnls_solve(b, y).residual_norm - exact) / scale)
+    assert worst <= 1e-9
+
+
 def test_membership_exact_conic_combination():
     rng = np.random.default_rng(5)
     basis = rng.random((5, 2))

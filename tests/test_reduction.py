@@ -1,8 +1,19 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from conered import HsiMatrix, IndexSet, dr, drs, drs_stages, verify_gamma
+from conered import (
+    HsiMatrix,
+    IndexSet,
+    assemble,
+    dr,
+    drs,
+    drs_stages,
+    random_separable,
+    reduce_dimension,
+    verify_gamma,
+)
 from conered.nnls import cone_membership
 
 from oracles import nnls_enumerate
@@ -138,3 +149,24 @@ def test_drs_equals_cone_of_dr(case_seed):
     for j in k2:
         member, _ = cone_membership(a[:, k1.indices], a[:, j])
         assert member
+
+
+def test_wide_image_slice_member_found_by_nnls():
+    # 100 x 10000 at nu = 0.1: drs drops column 7366, which lies deep inside
+    # cone(A'(K)). An NNLS stop test that ignored the data scale (column
+    # norms near 0.1) ended at residual 2.4e-8 and put it outside.
+    inst = random_separable(100, 10000, 5, seed=np.random.SeedSequence([10, 2]))
+    ap = reduce_dimension(assemble(inst, 0.1).values, 5)
+    k = drs(ap, 30)
+    assert 7366 not in k
+    dk, target = ap[:, k.indices], ap[:, 7366]
+    # Referee without NNLS: a simplex vertex of {x >= 0 : A'(K) x = a'_7366},
+    # re-solved by least squares on its support.
+    lp = linprog(np.zeros(len(k)), A_eq=dk, b_eq=target, bounds=(0, None), method="highs-ds")
+    assert lp.status == 0
+    support = np.flatnonzero(lp.x > 0)
+    coef, *_ = np.linalg.lstsq(dk[:, support], target, rcond=None)
+    assert coef.min() > 0.0
+    assert np.linalg.norm(dk[:, support] @ coef - target) <= 1e-12 * np.linalg.norm(target)
+    member, _ = cone_membership(dk, target)
+    assert member
