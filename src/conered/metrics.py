@@ -1,13 +1,13 @@
 """Evaluation metrics and the robustness-theorem validators.
 
 ``rho`` is the conditioning quantity min_{||x||_1 = 1} ||W x||_1, computed
-exactly by enumerating all 2^r sign patterns of x and solving one small LP
-per pattern (hence the hard cap r <= 12). The remaining functions measure
-how well a retained column set or an estimated endmember matrix matches a
-reference, and ``theorem1_check`` audits the near-separable recovery
-guarantee on a synthetic instance: if the noise level stays below rho/9,
-some column of every retained set K in Gamma(A) is within
-(9/rho + 1) * eps of each true endmember in L1 norm.
+exactly by enumerating the 2^(r-1) sign patterns of x with a positive first
+entry and solving one small LP per pattern (hence the hard cap r <= 12).
+The remaining functions measure how well a retained column set or an
+estimated endmember matrix matches a reference, and ``theorem1_check``
+audits the near-separable recovery guarantee on a synthetic instance: if
+the noise level stays below rho/9, some column of every retained set K in
+Gamma(A) is within (9/rho + 1) * eps of each true endmember in L1 norm.
 """
 
 from __future__ import annotations
@@ -38,41 +38,50 @@ def rho(w, tol: float = 1e-10) -> float:
 
     For each sign pattern s the substitution x = diag(s) y with y >= 0,
     sum(y) = 1 turns the restriction onto that orthant face into the LP
-    min 1't s.t. -t <= W diag(s) y <= t, 1'y = 1; the minimum over all
-    2^r patterns is rho. Raises TooManyColumns for r > 12.
+    min 1't s.t. -t <= W diag(s) y <= t, 1'y = 1. Since ||W(-x)||_1 =
+    ||W x||_1, the patterns s and -s give the same minimum, so only the
+    2^(r-1) patterns with s_1 = +1 are solved; their minimum is rho.
+    Raises TooManyColumns for r > 12.
     """
     wm = as_values(w)
     d, r = wm.shape
     if r > 12:
         raise TooManyColumns(f"sign-pattern enumeration is capped at r = 12, got {r}")
     best = np.inf
-    for signs in itertools.product((1.0, -1.0), repeat=r):
-        ws = wm * np.asarray(signs)[None, :]
-        # variables: y (r), t (d), slacks s1, s2 (d each)
-        nv = r + 3 * d
-        rows = []
-        eye_d = sp.identity(d, format="coo")
-        zero_d = sp.coo_matrix((d, d))
-        ones_row = sp.coo_matrix(
-            (np.ones(r), (np.zeros(r, dtype=np.int64), np.arange(r))), shape=(1, nv)
-        )
-        rows.append(
-            sp.hstack([sp.coo_matrix(ws), -eye_d, eye_d, zero_d], format="coo")
-        )
-        rows.append(
-            sp.hstack([sp.coo_matrix(-ws), -eye_d, zero_d, eye_d], format="coo")
-        )
-        rows.append(ones_row)
-        a_eq = sp.vstack(rows, format="csr")
-        b_eq = np.concatenate([np.zeros(2 * d), [1.0]])
-        c = np.zeros(nv)
-        c[r : r + d] = 1.0
-        prob = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=np.full(nv, np.inf))
+    for signs in itertools.product((1.0, -1.0), repeat=r - 1):
+        prob = sign_pattern_lp(wm * np.asarray((1.0, *signs))[None, :])
         res = solve_lp_ipm(prob, tol=tol)
         if res.status != STATUS_OPTIMAL:
             raise IterationLimit("sign-pattern LP did not converge")
         best = min(best, res.objective)
     return float(max(best, 0.0))
+
+
+def sign_pattern_lp(ws: np.ndarray) -> LpProblem:
+    """min 1't s.t. -t <= Ws y <= t, 1'y = 1, y >= 0 in equality form.
+
+    ``ws`` is W with its columns multiplied by one sign pattern. Variables:
+    y (r), t (d), then the slacks of the two epigraph families (d each).
+    """
+    d, r = ws.shape
+    nv = r + 3 * d
+    eye_d = sp.identity(d, format="coo")
+    zero_d = sp.coo_matrix((d, d))
+    ones_row = sp.coo_matrix(
+        (np.ones(r), (np.zeros(r, dtype=np.int64), np.arange(r))), shape=(1, nv)
+    )
+    a_eq = sp.vstack(
+        [
+            sp.hstack([sp.coo_matrix(ws), -eye_d, eye_d, zero_d], format="coo"),
+            sp.hstack([sp.coo_matrix(-ws), -eye_d, zero_d, eye_d], format="coo"),
+            ones_row,
+        ],
+        format="csr",
+    )
+    b_eq = np.concatenate([np.zeros(2 * d), [1.0]])
+    c = np.zeros(nv)
+    c[r : r + d] = 1.0
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=np.full(nv, np.inf))
 
 
 def reconstruction_error(ap, k: IndexSet) -> float:

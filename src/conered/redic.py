@@ -18,8 +18,13 @@ import numpy as np
 from .assignment import solve_assignment
 from .core import ToleranceConfig, as_values, mrsa
 from .dimred import reduce_dimension
-from .errors import InsufficientColumns, RankTooLarge
-from .hottopixx import build_model_h, postprocess_method_c, solve_model_h
+from .errors import InsufficientColumns, NumericalBreakdown, RankTooLarge
+from .hottopixx import (
+    audit_model_h,
+    build_model_h,
+    postprocess_method_c,
+    solve_model_h,
+)
 from .reduction import drs
 
 __all__ = [
@@ -28,6 +33,9 @@ __all__ = [
     "redic",
     "align_columns",
 ]
+
+
+_AUDIT_FAMILIES = ("nonneg", "coupling", "diag_bound", "trace")
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,8 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
 
     ``model_hook``, when given, is called as hook(rep_index, model) with
     each repetition's LP model before it is solved (used for LP export).
+    Every LP solution is audited against the model's constraints before
+    method C reads it; a violation over ``tol_lp`` raises NumericalBreakdown.
     """
     arr = as_values(a)
     d, n = arr.shape
@@ -122,6 +132,13 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
         if model_hook is not None:
             model_hook(j, model)
         sol = solve_model_h(model, tol_lp=tol.tol_lp)
+        audit = audit_model_h(model, sol.x_matrix, tol=tol.tol_lp)
+        if not audit["ok"]:
+            family = max(_AUDIT_FAMILIES, key=audit.get)
+            raise NumericalBreakdown(
+                f"repetition {j}: the LP solution violates {family} "
+                f"by {audit[family]:.3g}"
+            )
         local = postprocess_method_c(ap[:, sub], sol, cfg.r)
         orig = sub[local.indices]
         w_j = arr[:, orig].copy()

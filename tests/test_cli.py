@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import conered
 from conered import dr, load_matrix, store_matrix
 from conered.cli import main
 
@@ -145,6 +151,39 @@ def test_extract_same_seed_byte_identical(tmp_path, capsys):
         stdouts.append(out.replace(name, "X"))
     assert outs[0] == outs[1]
     assert stdouts[0] == stdouts[1]
+
+
+def _cli_under_blas_threads(workdir: Path, threads: int) -> str:
+    """synth then extract in a fresh process; returns the extract stdout."""
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = str(Path(conered.__file__).parent.parent)
+    stdout = ""
+    for argv in (
+        ["synth", "--d", "100", "--n", "3000", "--r", "4", "--seed", "8",
+         "--nu", "0.3", "--out", "a.hsm1"],
+        ["extract", "a.hsm1", "--r", "4", "--lambda", "2", "--tau", "2",
+         "--seed", "3", "--out", "w.hsm1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conered.cli", *argv],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdout = proc.stdout
+    return stdout
+
+
+def test_extract_does_not_depend_on_blas_threads(tmp_path):
+    outs = []
+    for threads in (1, 2):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        stdout = _cli_under_blas_threads(workdir, threads)
+        files = [(workdir / name).read_bytes() for name in ("a.hsm1", "w.hsm1")]
+        outs.append((stdout, files))
+    assert outs[0][0] == outs[1][0]
+    assert outs[0][1] == outs[1][1]
 
 
 def test_synth_same_seed_byte_identical(tmp_path, capsys):

@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conered.errors import DimensionMismatch, IterationLimit
+from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     LpProblem,
+    _KktSolver,
+    _kkt_matrix,
     solve_lp_ipm,
     solve_lp_simplex,
     write_lp_text,
@@ -144,3 +147,54 @@ def test_lp_text_export(tmp_path):
     assert "alpha" in text and "beta" in text
     assert "Bounds" in text
     assert text.rstrip().endswith("End")
+
+
+def _kkt(a_eq, d, reg=1e-12):
+    a = sp.csr_matrix(a_eq)
+    return _kkt_matrix(a, sp.csc_matrix(a.T), d, reg)
+
+
+def _normwise_residual(kkt, x, b):
+    r = b - kkt @ x
+    knorm = abs(kkt).sum(axis=1).max()
+    return np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max())
+
+
+def test_refined_symmetric_solve_matches_dense_solve():
+    rng = np.random.default_rng(83)
+    prob = model_h_lp(build_model_h(rng.random((4, 39)), 4))
+    nv = prob.c.size
+    d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
+    kkt = _kkt(prob.a_eq, d)
+    b = rng.standard_normal(kkt.shape[0])
+    solver = _KktSolver(kkt)
+    x = solver.solve(b)
+    assert not solver.pivoted
+    omega = solver._residual(x, b)[1]
+    assert omega <= 1e-13
+    dense = np.linalg.solve(kkt.toarray(), b)
+    assert _normwise_residual(kkt, x, b) <= 1e-13
+    assert _normwise_residual(kkt, dense, b) <= 1e-13
+
+
+@pytest.mark.parametrize("d0", [0.0, 1e-310])
+def test_kkt_with_vanishing_diagonal_is_solved(d0):
+    # an exact zero pivot makes SuperLU take the off-diagonal 1; a subnormal
+    # one is taken and its reciprocal overflows, so the solve must fall back
+    kkt = _kkt(sp.csr_matrix([[1.0, 1.0]]), np.array([d0, 1.0]), reg=0.0)
+    b = np.array([1.0, 2.0, 3.0])
+    solver = _KktSolver(kkt)
+    x = solver.solve(b)
+    assert solver.pivoted == (d0 > 0.0)
+    assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
+
+
+def test_singular_diagonal_factorization_uses_pivoted_lu():
+    # SuperLU's symmetric mode reports this matrix singular; the pivoted LU
+    # (and the matrix, with determinant -2e40) is not
+    kkt = sp.csc_matrix(np.array([[2.0, 2.0, 1e20], [2.0, 2.0, 0.0], [1e20, 0.0, 1e-300]]))
+    b = np.array([1.0, 2.0, 3.0])
+    solver = _KktSolver(kkt)
+    assert solver.pivoted
+    x = solver.solve(b)
+    assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)

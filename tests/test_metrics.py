@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from conered import (
     theorem1_check,
 )
 from conered.errors import KSmallerThanR, TooManyColumns
-from conered.metrics import abundance_maxima
+from conered.lp import STATUS_OPTIMAL, solve_lp_ipm
+from conered.metrics import abundance_maxima, sign_pattern_lp
 
 from oracles import assignment_enumerate, rho_grid
 
@@ -42,6 +45,25 @@ def test_rho_matches_grid_search():
             w /= np.abs(w).sum(axis=0)
             assert rho(w) <= rho_grid(w, 300_000) + 1e-9
             assert rho(w) == pytest.approx(rho_grid(w, 300_000), abs=2e-3)
+
+
+def _rho_all_patterns(w):
+    """rho as the minimum over every one of the 2^r sign patterns."""
+    best = np.inf
+    for signs in itertools.product((1.0, -1.0), repeat=w.shape[1]):
+        res = solve_lp_ipm(sign_pattern_lp(w * np.asarray(signs)[None, :]), tol=1e-10)
+        assert res.status == STATUS_OPTIMAL
+        best = min(best, res.objective)
+    return max(best, 0.0)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_rho_half_enumeration_matches_full(r):
+    # ||W(-x)||_1 = ||Wx||_1, so fixing the first sign loses no minimum
+    rng = np.random.default_rng(40 + r)
+    for _ in range(2):
+        w = rng.standard_normal((r + 3, r))
+        assert rho(w) == pytest.approx(_rho_all_patterns(w), rel=0.0, abs=1e-12)
 
 
 def test_rho_rejects_large_r():

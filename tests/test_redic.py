@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from conered import (
     random_separable,
     redic,
 )
-from conered.errors import InsufficientColumns, RankTooLarge
+from conered.errors import InsufficientColumns, NumericalBreakdown, RankTooLarge
 from conered.redic import _mrsa_cost
 
 from oracles import assignment_enumerate
@@ -165,3 +168,19 @@ def test_noisy_run_stays_close():
     est = redic(a, RedicConfig(r=3, p=5, seed=5, lam=2, tau=3))
     score = mrsa_score(HsiMatrix(inst.w), HsiMatrix(est.w_hat))
     assert score.score < 15.0
+
+
+def test_violating_lp_solution_is_rejected(monkeypatch):
+    module = importlib.import_module("conered.redic")
+    real = module.solve_model_h
+
+    def violating(model, **kwargs):
+        sol = real(model, **kwargs)
+        x = sol.x_matrix.copy()
+        x[0, 1] = x[0, 0] + 1e-3  # X(i, j) above X(i, i)
+        return dataclasses.replace(sol, x_matrix=x)
+
+    monkeypatch.setattr(module, "solve_model_h", violating)
+    inst = random_separable(6, 30, 3, seed=63)
+    with pytest.raises(NumericalBreakdown, match="coupling by 0.001"):
+        redic(assemble(inst, 0.2), RedicConfig(r=3, p=3, seed=5))
