@@ -6,7 +6,6 @@ from .core import (
     FORMAT_HSM1,
     HsiMatrix,
     IndexSet,
-    ToleranceConfig,
     detect_format,
     l1_normalize_columns,
     load_matrix,
@@ -39,7 +38,7 @@ from .metrics import (
 )
 from .nnls import NnlsResult, cone_membership, nnls_solve
 from .redic import EndmemberEstimate, RedicConfig, align_columns, redic
-from .reduction import DrsStages, GammaReport, dr, drs, drs_stages, verify_gamma
+from .reduction import GammaReport, dr, drs, verify_gamma
 from .synth import SynthInstance, assemble, derive_whv, random_separable
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeredError",
     "ConfigError",
-    "DrsStages",
     "EndmemberEstimate",
     "FORMAT_CSV",
     "FORMAT_HSM1",
@@ -64,7 +62,6 @@ __all__ = [
     "RedicConfig",
     "SynthInstance",
     "TheoremReport",
-    "ToleranceConfig",
     "TruncatedSvd",
     "align_columns",
     "assemble",
@@ -75,7 +72,6 @@ __all__ = [
     "dict_distance",
     "dr",
     "drs",
-    "drs_stages",
     "kmeans_partition",
     "l1_normalize_columns",
     "load_matrix",

@@ -19,13 +19,7 @@ import time
 
 import numpy as np
 
-from .core import (
-    FORMAT_CSV,
-    FORMAT_HSM1,
-    ToleranceConfig,
-    load_matrix,
-    store_matrix,
-)
+from .core import FORMAT_CSV, FORMAT_HSM1, load_matrix, store_matrix
 from .errors import ConfigError, InputFormatError, NumericalError
 from .hottopixx import write_model_lp
 from .metrics import mrsa_score, reconstruction_error, rho
@@ -40,14 +34,6 @@ EXIT_NUMERICAL = 4
 EXIT_INFEASIBLE = 5
 
 
-def _threads_default() -> int:
-    env = os.environ.get("CONERED_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
@@ -60,12 +46,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-feas", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=_threads_default(),
-        help="worker cap for group reduction (env CONERED_THREADS)",
-    )
     _add_format(p)
 
 
@@ -124,13 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_reduce(args) -> int:
     start = time.monotonic()
     mat = load_matrix(args.input, args.format)
-    k = drs(
-        mat,
-        args.p,
-        eps_feas=args.eps_feas,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    k = drs(mat, args.p, eps_feas=args.eps_feas, seed=args.seed)
     err = reconstruction_error(mat, k)
     with open(args.out, "w", encoding="ascii") as fh:
         for idx in k.to_one_based():
@@ -153,8 +127,7 @@ def cmd_extract(args) -> int:
         tau=args.tau,
         p=args.p,
         seed=args.seed,
-        tolerances=ToleranceConfig(eps_feas=args.eps_feas),
-        threads=args.threads,
+        eps_feas=args.eps_feas,
     )
     hook = None
     if args.export_lp:
@@ -248,8 +221,8 @@ def _usage_problem(args) -> str | None:
         return "--tau must be at least 1"
     if getattr(args, "lam", 0) < 0:
         return "--lambda must be nonnegative"
-    if getattr(args, "threads", 1) < 1:
-        return "--threads must be at least 1"
+    if not 0.0 < getattr(args, "eps_feas", 1.0) < np.inf:
+        return "--eps-feas must be a positive finite number"
     if getattr(args, "nu", 0.0) < 0:
         return "--nu must be nonnegative"
     if args.command == "synth" and (args.d < 1 or args.n < 1):
@@ -275,7 +248,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

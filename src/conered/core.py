@@ -110,26 +110,6 @@ class IndexSet:
         return bool(np.isin(j, self.indices))
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances shared across the pipeline.
-
-    eps_feas   conic-membership feasibility threshold (strict comparison)
-    tol_lp     LP optimality/feasibility tolerance exposed to callers
-    norm_tol   below this, a mean-removed vector counts as degenerate
-    """
-
-    eps_feas: float = 1e-8
-    tol_lp: float = 1e-7
-    norm_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("eps_feas", "tol_lp", "norm_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number")
-
-
 def as_values(a) -> np.ndarray:
     """Unwrap an HsiMatrix (or pass through an array) as a float64 2-d array."""
     if isinstance(a, HsiMatrix):

@@ -2,6 +2,8 @@
 
 Three families matter to callers (and to the CLI exit-code mapping):
 input/format problems, numerical failures, and infeasible configurations.
+Configuration errors are also ValueErrors, so callers that validate
+arguments the usual Python way catch them too.
 """
 
 
@@ -17,7 +19,7 @@ class NumericalError(ConeredError):
     """A numerical procedure failed or hit a degenerate input (CLI exit code 4)."""
 
 
-class ConfigError(ConeredError):
+class ConfigError(ConeredError, ValueError):
     """The requested configuration cannot be satisfied (CLI exit code 5)."""
 
 
@@ -71,16 +73,17 @@ class MaxIterations(NumericalError):
     """An iterative solver exceeded its iteration cap."""
 
 
-class IterationLimit(NumericalError):
-    """An LP solve stopped at its iteration limit before converging."""
-
-
 class NumericalBreakdown(NumericalError):
     """A solve produced non-finite values or a singular system."""
 
 
 class BadRank(ConfigError):
     """The requested rank is outside the valid range for the operand."""
+
+
+class BadParameter(ConfigError):
+    """A setting is outside its valid range (a count below its minimum, or a
+    tolerance that is not a positive finite number)."""
 
 
 class RankTooLarge(ConfigError):

@@ -21,20 +21,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import IndexSet, as_values
-from .errors import (
-    BadRank,
-    DegenerateDiagonal,
-    IterationLimit,
-    NumericalBreakdown,
-)
-from .lp import (
-    STATUS_ITERATION_LIMIT,
-    STATUS_OPTIMAL,
-    LpProblem,
-    solve_lp_ipm,
-    solve_lp_simplex,
-    write_lp_text,
-)
+from .errors import BadRank, DegenerateDiagonal, MaxIterations
+from .lp import STATUS_OPTIMAL, LpProblem, solve_lp_ipm, write_lp_text
+
+# Feasibility tolerance for a solved X: the default of ``audit_model_h``
+# and the bound ``redic`` holds every LP solution to.
+TOL_LP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -160,24 +152,14 @@ def model_h_lp(model: ModelH, with_names: bool = False) -> LpProblem:
     return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=ub, names=names)
 
 
-def solve_model_h(
-    model: ModelH,
-    tol_lp: float = 1e-7,
-    method: str = "ipm",
-    max_iter: int = 200,
-) -> LpSolution:
-    """Solve the model; ``method`` is "ipm" or "simplex" (small m only)."""
-    prob = model_h_lp(model)
-    if method == "ipm":
-        res = solve_lp_ipm(prob, tol=min(1e-10, tol_lp * 1e-2), max_iter=max_iter)
-    elif method == "simplex":
-        res = solve_lp_simplex(prob)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if res.status == STATUS_ITERATION_LIMIT:
-        raise IterationLimit("LP solve hit its iteration limit before converging")
+def solve_model_h(model: ModelH) -> LpSolution:
+    """Solve the model with the interior-point method (``lp.solve_lp_ipm``).
+
+    Raises MaxIterations when the solver stops at its iteration cap.
+    """
+    res = solve_lp_ipm(model_h_lp(model))
     if res.status != STATUS_OPTIMAL:
-        raise NumericalBreakdown(f"LP solve ended with status {res.status}")
+        raise MaxIterations("LP solve hit its iteration limit before converging")
     m = model.m
     x_matrix = res.x[: m * m].reshape((m, m), order="F").copy()
     return LpSolution(
@@ -189,7 +171,7 @@ def solve_model_h(
     )
 
 
-def audit_model_h(model: ModelH, x_matrix: np.ndarray, tol: float = 1e-7) -> dict:
+def audit_model_h(model: ModelH, x_matrix: np.ndarray, tol: float = TOL_LP) -> dict:
     """Check a candidate X against the model constraints, solver-free.
 
     Returns per-family worst violations plus the recomputed entrywise

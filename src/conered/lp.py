@@ -2,9 +2,9 @@
 
     min c'x   s.t.   A x = b,   0 <= x <= u   (u may be +inf per entry)
 
-Two solvers operate on the same problem object. The workhorse is a
-primal-dual Mehrotra predictor-corrector interior-point method. Its Newton
-systems are solved on the sparse augmented form
+``solve_lp_ipm`` is a primal-dual Mehrotra predictor-corrector
+interior-point method. Its Newton systems are solved on the sparse augmented
+form
 
     [ -(D + reg I)   A' ] [dx]   [rhat]
     [      A      reg I ] [dy] = [ rp ]
@@ -18,11 +18,10 @@ componentwise backward error is a few machine epsilons (Arioli, Demmel & Duff
 1989). A partially pivoted LU, also refined, takes over for the rest of the
 iteration when the diagonal factorization reports the matrix singular or when
 refinement stalls above ``_REFINE_ACCEPT``; this happens near convergence,
-where D spans twenty orders of magnitude.
+where D spans twenty orders of magnitude. The solver is deterministic.
 
-The second solver is a dense two-phase simplex with Bland's rule, slow but
-exact at a vertex, kept for small instances and as an independent
-cross-check of the interior-point path. Both are deterministic.
+``write_lp_text`` exports a problem in the plain-text LP file format, so an
+external solver can check it.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import DimensionMismatch, IterationLimit, NumericalBreakdown
+from .errors import DimensionMismatch, NumericalBreakdown
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
-STATUS_INFEASIBLE = "infeasible"
 
 _EPS = float(np.finfo(np.float64).eps)
 # Refinement stops at this componentwise backward error ...
@@ -263,121 +261,6 @@ class _KktSolver:
         ratio = np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0.0)
         omega = float(ratio.max(initial=0.0))
         return r, omega if np.isfinite(omega) else np.inf
-
-
-def solve_lp_simplex(
-    prob: LpProblem, tol: float = 1e-9, max_iter: int = 200_000
-) -> LpResult:
-    """Dense two-phase simplex with Bland's rule.
-
-    Upper bounds become explicit slack rows, so this path is meant for small
-    instances. The optimal basis is re-solved against the original data at
-    the end, which makes the returned vertex exact to machine precision.
-    """
-    A0 = prob.a_eq.toarray()
-    neq, nv = A0.shape
-    bd = np.isfinite(prob.ub)
-    nb = int(bd.sum())
-    m = neq + nb
-    n = nv + nb
-    A = np.zeros((m, n))
-    A[:neq, :nv] = A0
-    if nb:
-        rows = np.arange(neq, m)
-        A[rows, np.flatnonzero(bd)] = 1.0
-        A[rows, nv + np.arange(nb)] = 1.0
-    b = np.concatenate([prob.b_eq, prob.ub[bd]])
-    c = np.concatenate([prob.c, np.zeros(nb)])
-
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b = np.abs(b)
-
-    # phase 1: artificial basis
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    iters = _bland(T, basis, cost1, allowed=n + m, tol=tol, max_iter=max_iter)
-    if float(cost1[basis] @ T[:, -1]) > 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0))):
-        return LpResult(
-            x=np.full(nv, np.nan),
-            objective=np.nan,
-            status=STATUS_INFEASIBLE,
-            iterations=iters,
-            gap=np.nan,
-        )
-
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        pivots = np.flatnonzero(np.abs(T[i, :n]) > tol)
-        if pivots.size:
-            _pivot(T, i, int(pivots[0]))
-            basis[i] = int(pivots[0])
-        else:
-            keep[i] = False
-    if not keep.all():
-        T = T[keep]
-        basis = [bi for bi, k in zip(basis, keep) if k]
-
-    iters += _bland(T, basis, c, allowed=n, tol=tol, max_iter=max_iter - iters)
-
-    # polish the vertex against the original data
-    x = np.zeros(n)
-    cols = np.array(basis, dtype=np.int64)
-    Ab = A[keep][:, cols] if not keep.all() else A[:, cols]
-    bb = b[keep] if not keep.all() else b
-    try:
-        xb = np.linalg.solve(Ab, bb)
-    except np.linalg.LinAlgError:
-        xb = T[:, -1]
-    x[cols] = xb
-    xv = x[:nv]
-    return LpResult(
-        x=xv,
-        objective=float(prob.c @ xv),
-        status=STATUS_OPTIMAL,
-        iterations=iters,
-        gap=0.0,
-    )
-
-
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-
-
-def _bland(T, basis, cost, allowed, tol, max_iter) -> int:
-    """Bland-rule pivoting over tableau ``T`` (mutated in place)."""
-    it = 0
-    while True:
-        lam = cost[basis] @ T[:, :allowed]
-        reduced = cost[:allowed] - lam
-        basic = set(basis)
-        entering = -1
-        for j in np.flatnonzero(reduced < -tol):
-            if int(j) not in basic:
-                entering = int(j)
-                break
-        if entering < 0:
-            return it
-        if it >= max_iter:
-            raise IterationLimit(f"simplex exceeded {max_iter} pivots")
-        col = T[:, entering]
-        rows = np.flatnonzero(col > tol)
-        if rows.size == 0:
-            raise NumericalBreakdown("LP is unbounded along an entering column")
-        ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
-        ties = rows[ratios <= rmin + tol * (1.0 + abs(rmin))]
-        leave = min(ties, key=lambda i: basis[i])
-        _pivot(T, int(leave), entering)
-        basis[int(leave)] = entering
-        it += 1
 
 
 def write_lp_text(prob: LpProblem, path: str, name: str = "problem") -> None:

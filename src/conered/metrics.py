@@ -22,8 +22,8 @@ from .assignment import min_cost_matching, solve_assignment
 from .core import IndexSet, as_values, mrsa
 from .errors import (
     DimensionMismatch,
-    IterationLimit,
     KSmallerThanR,
+    MaxIterations,
     TooManyColumns,
 )
 from .lp import STATUS_OPTIMAL, LpProblem, solve_lp_ipm
@@ -52,7 +52,7 @@ def rho(w, tol: float = 1e-10) -> float:
         prob = sign_pattern_lp(wm * np.asarray((1.0, *signs))[None, :])
         res = solve_lp_ipm(prob, tol=tol)
         if res.status != STATUS_OPTIMAL:
-            raise IterationLimit("sign-pattern LP did not converge")
+            raise MaxIterations("sign-pattern LP did not converge")
         best = min(best, res.objective)
     return float(max(best, 0.0))
 

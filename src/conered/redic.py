@@ -5,21 +5,28 @@ dictionary with split redundancy removal, then solves the self-dictionary
 LP on the retained columns. Repetitions re-solve on the retained set plus a
 fresh random draw of lam extra columns; their estimates are permutation
 aligned against the running mean and averaged. All randomness flows from
-one seed through split substreams, so results do not depend on tau or on
-the thread schedule.
+one seed through split substreams, so results do not depend on tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import solve_assignment
-from .core import ToleranceConfig, as_values, mrsa
+from .core import as_values, mrsa
 from .dimred import reduce_dimension
-from .errors import InsufficientColumns, NumericalBreakdown, RankTooLarge
+from .errors import (
+    BadParameter,
+    BadRank,
+    InsufficientColumns,
+    NumericalBreakdown,
+    RankTooLarge,
+)
 from .hottopixx import (
+    TOL_LP,
     audit_model_h,
     build_model_h,
     postprocess_method_c,
@@ -41,27 +48,27 @@ _AUDIT_FAMILIES = ("nonneg", "coupling", "diag_bound", "trace")
 @dataclass(frozen=True)
 class RedicConfig:
     """Pipeline knobs: target count r, augmentation size lam, repetitions
-    tau, k-means group count p, the RNG seed, and shared tolerances."""
+    tau, k-means group count p, the RNG seed, and the cone-membership
+    threshold eps_feas of the redundancy sweep."""
 
     r: int
     lam: int = 0
     tau: int = 1
     p: int = 30
     seed: int = 0
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    threads: int = 1
+    eps_feas: float = 1e-8
 
     def __post_init__(self):
         if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
+            raise BadRank(f"r must be >= 1, got {self.r}")
         if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            raise BadParameter(f"lam must be >= 0, got {self.lam}")
         if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+            raise BadParameter(f"tau must be >= 1, got {self.tau}")
         if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+            raise BadParameter(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.eps_feas) and self.eps_feas > 0):
+            raise BadParameter(f"eps_feas must be a positive finite number, got {self.eps_feas}")
 
 
 @dataclass(frozen=True)
@@ -100,19 +107,18 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
     ``model_hook``, when given, is called as hook(rep_index, model) with
     each repetition's LP model before it is solved (used for LP export).
     Every LP solution is audited against the model's constraints before
-    method C reads it; a violation over ``tol_lp`` raises NumericalBreakdown.
+    method C reads it; a violation over ``TOL_LP`` raises NumericalBreakdown.
     """
     arr = as_values(a)
     d, n = arr.shape
     if cfg.r > min(d, n):
         raise RankTooLarge(f"r = {cfg.r} exceeds min(d, n) = {min(d, n)}")
-    tol = cfg.tolerances
 
     root = np.random.SeedSequence(cfg.seed)
     streams = root.spawn(cfg.tau + 1)
 
     ap = reduce_dimension(arr, cfg.r)
-    k = drs(ap, cfg.p, eps_feas=tol.eps_feas, seed=streams[0], threads=cfg.threads)
+    k = drs(ap, cfg.p, eps_feas=cfg.eps_feas, seed=streams[0])
     outside = np.setdiff1d(np.arange(n, dtype=np.int64), k.indices)
     if cfg.lam > outside.size:
         raise InsufficientColumns(
@@ -131,8 +137,8 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
         model = build_model_h(ap[:, sub], cfg.r)
         if model_hook is not None:
             model_hook(j, model)
-        sol = solve_model_h(model, tol_lp=tol.tol_lp)
-        audit = audit_model_h(model, sol.x_matrix, tol=tol.tol_lp)
+        sol = solve_model_h(model)
+        audit = audit_model_h(model, sol.x_matrix, tol=TOL_LP)
         if not audit["ok"]:
             family = max(_AUDIT_FAMILIES, key=audit.get)
             raise NumericalBreakdown(

@@ -3,19 +3,18 @@
 ``dr`` makes a single ascending pass over the columns and deletes any column
 that the NNLS test places inside the cone of the other survivors, so among
 exact duplicates the highest-index copy survives. ``drs`` first splits the
-columns with k-means, reduces each group independently (optionally in
-threads), then reduces the union. Outputs generate the same cone as the
-input and are minimal: removing any retained column changes the cone.
+columns with k-means, reduces each group independently, then reduces the
+union. Outputs generate the same cone as the input and are minimal:
+removing any retained column changes the cone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Partition, kmeans_partition
+from .clustering import kmeans_partition
 from .core import IndexSet, as_values
 from .nnls import cone_membership
 
@@ -37,51 +36,19 @@ def dr(a, eps_feas: float = 1e-8) -> IndexSet:
     return IndexSet(np.flatnonzero(surviving))
 
 
-@dataclass(frozen=True)
-class DrsStages:
-    """Intermediate state of a split run, kept around for verification."""
-
-    partition: Partition
-    group_keeps: tuple[IndexSet, ...]
-    union: IndexSet
-    final: IndexSet
-
-
-def drs_stages(
-    a,
-    p: int,
-    eps_feas: float = 1e-8,
-    seed: int | np.random.SeedSequence = 0,
-    threads: int = 1,
-) -> DrsStages:
-    arr = as_values(a)
-    part = kmeans_partition(arr, p, seed)
-
-    def reduce_group(group: IndexSet) -> IndexSet:
-        local = dr(arr[:, group.indices], eps_feas=eps_feas)
-        return IndexSet(group.indices[local.indices])
-
-    if threads > 1 and part.p > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keeps = tuple(pool.map(reduce_group, part.groups))
-    else:
-        keeps = tuple(reduce_group(g) for g in part.groups)
-
-    union = IndexSet(np.unique(np.concatenate([k.indices for k in keeps])))
-    local_final = dr(arr[:, union.indices], eps_feas=eps_feas)
-    final = IndexSet(union.indices[local_final.indices])
-    return DrsStages(partition=part, group_keeps=keeps, union=union, final=final)
-
-
 def drs(
     a,
     p: int,
     eps_feas: float = 1e-8,
     seed: int | np.random.SeedSequence = 0,
-    threads: int = 1,
 ) -> IndexSet:
-    """Split-and-merge redundancy removal (k-means into p groups, then dr)."""
-    return drs_stages(a, p, eps_feas=eps_feas, seed=seed, threads=threads).final
+    """Split-and-merge redundancy removal: k-means into p groups, ``dr`` on
+    each group in turn, then one ``dr`` on the union of the survivors."""
+    arr = as_values(a)
+    part = kmeans_partition(arr, p, seed)
+    keeps = [g.indices[dr(arr[:, g.indices], eps_feas=eps_feas).indices] for g in part.groups]
+    union = np.unique(np.concatenate(keeps))
+    return IndexSet(union[dr(arr[:, union], eps_feas=eps_feas).indices])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ import numpy as np
 
 from .core import HsiMatrix, IndexSet, as_values, l1_normalize_columns, mrsa_pairwise
 from .errors import (
+    BadParameter,
+    BadRank,
     DimensionMismatch,
     DuplicateMatch,
     MaxIterations,
@@ -113,9 +115,9 @@ def random_separable(
     requested induced L1 norm (exactly zero when noise_norm is 0).
     """
     if not (1 <= r <= min(d, n)):
-        raise ValueError(f"need 1 <= r <= min(d, n), got r={r}, d={d}, n={n}")
+        raise BadRank(f"need 1 <= r <= min(d, n), got r={r}, d={d}, n={n}")
     if noise_norm < 0:
-        raise ValueError("noise_norm must be nonnegative")
+        raise BadParameter("noise_norm must be nonnegative")
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, size=(d, r))
     w /= w.sum(axis=0)

@@ -1,8 +1,8 @@
 """Slow reference implementations used to cross-check the fast code paths.
 
 Everything here trades speed for being obviously correct: exhaustive
-enumeration, dense grids, textbook iterations. Nothing in src/ may import
-from this module.
+enumeration, dense grids, textbook iterations, a dense simplex. Nothing in
+src/ may import from this module.
 """
 
 from __future__ import annotations
@@ -10,6 +10,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from conered.errors import MaxIterations, NumericalBreakdown
+from conered.hottopixx import LpSolution, ModelH, model_h_lp
+from conered.lp import STATUS_OPTIMAL, LpProblem, LpResult
+
+STATUS_INFEASIBLE = "infeasible"
 
 
 def nnls_enumerate(b: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -215,3 +221,133 @@ def kmeans_inertia(x: np.ndarray, labels: np.ndarray) -> float:
         c = pts.mean(axis=1, keepdims=True)
         total += float(((pts - c) ** 2).sum())
     return total
+
+
+def solve_lp_simplex(
+    prob: LpProblem, tol: float = 1e-9, max_iter: int = 200_000
+) -> LpResult:
+    """Dense two-phase simplex with Bland's rule.
+
+    Upper bounds become explicit slack rows, so this path is meant for small
+    instances. The optimal basis is re-solved against the original data at
+    the end, which makes the returned vertex exact to machine precision.
+    """
+    A0 = prob.a_eq.toarray()
+    neq, nv = A0.shape
+    bd = np.isfinite(prob.ub)
+    nb = int(bd.sum())
+    m = neq + nb
+    n = nv + nb
+    A = np.zeros((m, n))
+    A[:neq, :nv] = A0
+    if nb:
+        rows = np.arange(neq, m)
+        A[rows, np.flatnonzero(bd)] = 1.0
+        A[rows, nv + np.arange(nb)] = 1.0
+    b = np.concatenate([prob.b_eq, prob.ub[bd]])
+    c = np.concatenate([prob.c, np.zeros(nb)])
+
+    flip = b < 0.0
+    A[flip] *= -1.0
+    b = np.abs(b)
+
+    # phase 1: artificial basis
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+    iters = _bland(T, basis, cost1, allowed=n + m, tol=tol, max_iter=max_iter)
+    if float(cost1[basis] @ T[:, -1]) > 1e-7 * (1.0 + float(np.abs(b).max(initial=0.0))):
+        return LpResult(
+            x=np.full(nv, np.nan),
+            objective=np.nan,
+            status=STATUS_INFEASIBLE,
+            iterations=iters,
+            gap=np.nan,
+        )
+
+    # drive leftover artificials out of the basis, dropping redundant rows
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] < n:
+            continue
+        pivots = np.flatnonzero(np.abs(T[i, :n]) > tol)
+        if pivots.size:
+            _pivot(T, i, int(pivots[0]))
+            basis[i] = int(pivots[0])
+        else:
+            keep[i] = False
+    if not keep.all():
+        T = T[keep]
+        basis = [bi for bi, k in zip(basis, keep) if k]
+
+    iters += _bland(T, basis, c, allowed=n, tol=tol, max_iter=max_iter - iters)
+
+    # polish the vertex against the original data
+    x = np.zeros(n)
+    cols = np.array(basis, dtype=np.int64)
+    Ab = A[keep][:, cols] if not keep.all() else A[:, cols]
+    bb = b[keep] if not keep.all() else b
+    try:
+        xb = np.linalg.solve(Ab, bb)
+    except np.linalg.LinAlgError:
+        xb = T[:, -1]
+    x[cols] = xb
+    xv = x[:nv]
+    return LpResult(
+        x=xv,
+        objective=float(prob.c @ xv),
+        status=STATUS_OPTIMAL,
+        iterations=iters,
+        gap=0.0,
+    )
+
+
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+
+
+def _bland(T, basis, cost, allowed, tol, max_iter) -> int:
+    """Bland-rule pivoting over tableau ``T`` (mutated in place)."""
+    it = 0
+    while True:
+        lam = cost[basis] @ T[:, :allowed]
+        reduced = cost[:allowed] - lam
+        basic = set(basis)
+        entering = -1
+        for j in np.flatnonzero(reduced < -tol):
+            if int(j) not in basic:
+                entering = int(j)
+                break
+        if entering < 0:
+            return it
+        if it >= max_iter:
+            raise MaxIterations(f"simplex exceeded {max_iter} pivots")
+        col = T[:, entering]
+        rows = np.flatnonzero(col > tol)
+        if rows.size == 0:
+            raise NumericalBreakdown("LP is unbounded along an entering column")
+        ratios = T[rows, -1] / col[rows]
+        rmin = ratios.min()
+        ties = rows[ratios <= rmin + tol * (1.0 + abs(rmin))]
+        leave = min(ties, key=lambda i: basis[i])
+        _pivot(T, int(leave), entering)
+        basis[int(leave)] = entering
+        it += 1
+
+
+def simplex_model_h(model: ModelH) -> LpSolution:
+    """Solve the Hottopixx model at a vertex with the dense simplex."""
+    res = solve_lp_simplex(model_h_lp(model))
+    if res.status != STATUS_OPTIMAL:
+        raise NumericalBreakdown(f"LP solve ended with status {res.status}")
+    m = model.m
+    return LpSolution(
+        x_matrix=res.x[: m * m].reshape((m, m), order="F").copy(),
+        objective=res.objective,
+        status=res.status,
+        gap=res.gap,
+        iterations=res.iterations,
+    )

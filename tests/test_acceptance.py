@@ -38,7 +38,7 @@ from conered.hottopixx import audit_model_h, build_model_h
 from conered.metrics import abundance_maxima
 from conered.redic import _mrsa_cost
 
-from oracles import assignment_enumerate, nnls_enumerate, rho_grid
+from oracles import assignment_enumerate, nnls_enumerate, rho_grid, simplex_model_h
 
 LINES: list[str] = []
 
@@ -181,8 +181,8 @@ def test_criterion_5_model_h_solver_equivalence():
         a /= np.abs(a).sum(axis=0)
         r = int(rng.integers(1, m + 1))
         model = build_model_h(a, r)
-        ipm = solve_model_h(model, method="ipm")
-        simplex = solve_model_h(model, method="simplex")
+        ipm = solve_model_h(model)
+        simplex = simplex_model_h(model)
         worst_gap = max(worst_gap, abs(ipm.objective - simplex.objective))
         for sol in (ipm, simplex):
             if not audit_model_h(model, sol.x_matrix, tol=1e-7)["ok"]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conered
-from conered import dr, load_matrix, store_matrix
+from conered import cli, dr, load_matrix, store_matrix
 from conered.cli import main
 
 
@@ -113,12 +113,41 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["reduce", "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["extract", "--r", "3"]], ids=["reduce", "extract"])
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_bad_eps_feas_is_usage_error(tmp_path, capsys, command, eps):
+    # the check runs before the input is read, so the file need not exist
+    code, _, err = run(
+        capsys, command[0], str(tmp_path / "a.hsm1"), *command[1:],
+        "--eps-feas", eps, "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "--eps-feas" in err
+
+
 def test_infeasible_rank_is_config_error(tmp_path, capsys):
     a_path, _ = _synth_files(tmp_path, capsys)
     code, _, err = run(
         capsys, "extract", a_path, "--r", "25", "--out", str(tmp_path / "w.hsm1")
     )
     assert code == 5
+
+
+def test_synth_rank_above_bands_is_config_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "synth", "--d", "5", "--n", "40", "--r", "6", "--out", str(tmp_path / "a.hsm1")
+    )
+    assert code == 5
+    assert "error" in err
+
+
+def test_unexpected_value_error_is_not_a_config_error(monkeypatch):
+    def broken(args):
+        raise ValueError("not a configuration problem")
+
+    monkeypatch.setitem(cli._COMMANDS, "rho", broken)
+    with pytest.raises(ValueError, match="not a configuration problem"):
+        main(["rho", "w.hsm1"])
 
 
 def test_extract_recovers_endmembers(tmp_path, capsys):

@@ -7,6 +7,8 @@ from conered import build_model_h, model_h_lp, postprocess_method_c, solve_model
 from conered.errors import BadRank, DegenerateDiagonal
 from conered.hottopixx import audit_model_h, write_model_lp
 
+from oracles import simplex_model_h
+
 
 def test_variable_count_small():
     model = build_model_h(np.ones((2, 2)), 1)
@@ -54,8 +56,8 @@ def test_identity_is_optimal_at_full_rank():
 def test_interior_column_weights():
     a = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
     expected = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
-    for method in ("ipm", "simplex"):
-        sol = solve_model_h(build_model_h(a, 2), method=method)
+    for solve in (solve_model_h, simplex_model_h):
+        sol = solve(build_model_h(a, 2))
         assert np.allclose(sol.x_matrix, expected, atol=1e-6)
         assert sol.objective == pytest.approx(0.0, abs=1e-7)
 
@@ -79,8 +81,8 @@ def test_solvers_agree():
         a /= np.abs(a).sum(axis=0)
         r = int(rng.integers(1, m))
         model = build_model_h(a, r)
-        ipm = solve_model_h(model, method="ipm")
-        simplex = solve_model_h(model, method="simplex")
+        ipm = solve_model_h(model)
+        simplex = simplex_model_h(model)
         assert ipm.objective == pytest.approx(simplex.objective, abs=1e-7)
         for sol in (ipm, simplex):
             assert audit_model_h(model, sol.x_matrix)["ok"]

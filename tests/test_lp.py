@@ -4,18 +4,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conered.errors import DimensionMismatch, IterationLimit
+from conered.errors import DimensionMismatch, MaxIterations
 from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
-    STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     LpProblem,
     _KktSolver,
     _kkt_matrix,
     solve_lp_ipm,
-    solve_lp_simplex,
     write_lp_text,
 )
+
+from oracles import STATUS_INFEASIBLE, solve_lp_simplex
 
 
 def _tiny_problem():
@@ -127,7 +127,7 @@ def test_iteration_limit_is_reported():
 
 def test_simplex_iteration_cap():
     prob = _random_bounded_problem(np.random.default_rng(78), neq=3, nv=8)
-    with pytest.raises(IterationLimit):
+    with pytest.raises(MaxIterations):
         solve_lp_simplex(prob, max_iter=1)
 
 

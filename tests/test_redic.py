@@ -13,7 +13,12 @@ from conered import (
     random_separable,
     redic,
 )
-from conered.errors import InsufficientColumns, NumericalBreakdown, RankTooLarge
+from conered.errors import (
+    ConfigError,
+    InsufficientColumns,
+    NumericalBreakdown,
+    RankTooLarge,
+)
 from conered.redic import _mrsa_cost
 
 from oracles import assignment_enumerate
@@ -160,6 +165,12 @@ def test_config_validation():
         RedicConfig(r=2, lam=-1)
     with pytest.raises(ValueError):
         RedicConfig(r=2, p=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+def test_config_rejects_bad_eps_feas(eps):
+    with pytest.raises(ConfigError):
+        RedicConfig(r=2, eps_feas=eps)
 
 
 def test_noisy_run_stays_close():

@@ -9,7 +9,6 @@ from conered import (
     assemble,
     dr,
     drs,
-    drs_stages,
     random_separable,
     reduce_dimension,
     verify_gamma,
@@ -59,27 +58,6 @@ def test_drs_four_columns_any_partition():
     a = np.array([[1.0, 0.0, 0.5, 0.25], [0.0, 1.0, 0.5, 0.75]])
     for seed in range(8):
         assert list(drs(a, 2, seed=seed).to_one_based()) == [1, 2]
-
-
-def test_drs_stages_are_consistent():
-    rng = np.random.default_rng(25)
-    w = rng.random((4, 3))
-    h = np.concatenate([np.eye(3), rng.dirichlet(np.ones(3), size=17).T], axis=1)
-    a = w @ h
-    stages = drs_stages(a, 4, seed=1)
-    union = set(stages.union.indices.tolist())
-    assert union == set().union(*(k.indices.tolist() for k in stages.group_keeps))
-    assert set(stages.final.indices.tolist()) <= union
-    for keep, group in zip(stages.group_keeps, stages.partition.groups):
-        assert set(keep.indices.tolist()) <= set(group.indices.tolist())
-
-
-def test_drs_threads_do_not_change_result():
-    rng = np.random.default_rng(26)
-    a = rng.random((4, 40))
-    serial = drs(a, 5, seed=3, threads=1)
-    parallel = drs(a, 5, seed=3, threads=4)
-    assert np.array_equal(serial.indices, parallel.indices)
 
 
 def test_gamma_full_set():
