@@ -49,6 +49,10 @@ class DimensionMismatch(InputFormatError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInput(InputFormatError):
+    """An operand holds a NaN or an infinity."""
+
+
 class ZeroColumn(NumericalError):
     """A column with zero L1 norm cannot be normalized."""
 

@@ -2,26 +2,44 @@
 
 The solver is the Lawson-Hanson active-set method with deterministic index
 selection: the entering variable is the one with the most negative gradient,
-ties broken by lowest index. Inner least-squares subproblems go through
-LAPACK's gelsy (QR with column pivoting), which returns a minimum-norm
-solution when the passive set is rank deficient.
+ties broken by lowest index. Inner least-squares subproblems call LAPACK's
+dgelsy (QR with column pivoting) directly, which returns a minimum-norm
+solution when the passive set is rank deficient. The call is the one
+``scipy.linalg.lstsq(..., lapack_driver="gelsy")`` makes (cond = eps, the
+workspace size LAPACK asks for, a zero-padded right-hand side when there
+are more columns than rows), without its validation and dispatch, which
+cost about four times the solve itself on the few-row problems of a
+reduction sweep. The workspace size is cached per (rows, cols) shape.
 
 The stop test is derived from the data, not set by the caller. Every
 gradient entry b_j'(y - Bx) is at most ||B||_F * ||y||_2 in size, since the
 residual never grows past ||y||_2; the loop ends when no entry exceeds that
 bound times 16 * eps (machine epsilon). Rescaling B or y rescales the test
-with them, so small-norm data is solved as exactly as unit-norm data.
+with them, so small-norm data is solved as exactly as unit-norm data. The
+same two norms detect a NaN or an infinity in either argument, which raises
+NonFiniteInput instead of reaching LAPACK.
+
+Lawson and Hanson's step-6 guard is kept: when the first solve after a
+column enters gives that column a coefficient <= 0 (roundoff, on a gradient
+entry just above the stop test), the column leaves again and its gradient
+entry is zeroed until the next full solve, so the next candidate enters.
+Without it the ratio step removes the column with a zero step, the same
+column enters again, and the loop cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lstsq as _lstsq
+from scipy.linalg import get_lapack_funcs
 
 from .core import as_values
-from .errors import DimensionMismatch, MaxIterations
+from .errors import DimensionMismatch, MaxIterations, NonFiniteInput, NumericalBreakdown
+
+_EPS = float(np.finfo(np.float64).eps)
+_gelsy, _gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -33,6 +51,40 @@ class NnlsResult:
     iterations: int
 
 
+@lru_cache(maxsize=1024)
+def _gelsy_workspace(rows: int, cols: int) -> int:
+    """The dgelsy workspace size LAPACK asks for, as ``lstsq`` computes it."""
+    work, _ = _gelsy_lwork(rows, cols, 1, _EPS)
+    return int(work)
+
+
+def _lstsq_gelsy(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``a z = y`` by LAPACK dgelsy.
+
+    ``a`` is a float64 (rows x cols) matrix with cols >= 1 and ``y`` a float64
+    vector of length rows; neither is modified. The result has the same bytes
+    as ``scipy.linalg.lstsq(a, y, lapack_driver="gelsy")[0]``.
+    """
+    rows, cols = a.shape
+    if cols > rows:
+        # dgelsy writes the cols-long solution over the right-hand side.
+        rhs = np.zeros(cols)
+        rhs[:rows] = y
+    else:
+        rhs = y
+    lwork = _gelsy_workspace(rows, cols)
+    _, z, _, _, info = _gelsy(a, rhs, np.zeros(cols, dtype=np.int32), _EPS, lwork)
+    if info != 0:
+        raise NumericalBreakdown(f"dgelsy returned info={info}")
+    return z[:cols]
+
+
+def _raise_if_non_finite(B: np.ndarray, y: np.ndarray) -> None:
+    for name, arr in (("dictionary", B), ("target", y)):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteInput(f"nnls {name} has NaN or infinite entries")
+
+
 def nnls_solve(b_mat, y) -> NnlsResult:
     """Solve min ||B x - y||_2 subject to x >= 0.
 
@@ -40,6 +92,7 @@ def nnls_solve(b_mat, y) -> NnlsResult:
     support, and off the support every gradient entry of B'(Bx - y) is
     >= -16 * eps * ||B||_F * ||y||_2. ``iterations`` counts least-squares
     subproblem solves; more than 10 * (number of columns) raise MaxIterations.
+    A NaN or infinite entry in ``b_mat`` or ``y`` raises NonFiniteInput.
     """
     B = np.asarray(b_mat, dtype=np.float64)
     if B.ndim != 2:
@@ -52,47 +105,60 @@ def nnls_solve(b_mat, y) -> NnlsResult:
 
     x = np.zeros(m)
     if m == 0:
-        return NnlsResult(x=x, residual_norm=float(np.linalg.norm(yv)), iterations=0)
+        residual = float(np.linalg.norm(yv))
+        if not np.isfinite(residual):
+            _raise_if_non_finite(B, yv)
+        return NnlsResult(x=x, residual_norm=residual, iterations=0)
 
-    tol = 16.0 * np.finfo(np.float64).eps * np.linalg.norm(B) * np.linalg.norm(yv)
+    norm_b, norm_y = np.linalg.norm(B), np.linalg.norm(yv)
+    if not (np.isfinite(norm_b) and np.isfinite(norm_y)):
+        _raise_if_non_finite(B, yv)
+    tol = 16.0 * _EPS * norm_b * norm_y
+    # NumPy methods, not the np.* wrappers: on few-row problems the wrapper
+    # dispatch costs more than the work.
     passive = np.zeros(m, dtype=bool)
-    w = B.T @ yv
+    w = B.T @ yv  # the negative gradient, -inf on the passive set
     solves = 0
     while True:
-        active = ~passive
-        if not active.any():
+        enter = int(w.argmax())
+        if passive[enter] or w[enter] <= tol:
             break
-        wa = w[active]
-        if wa.max() <= tol:
-            break
-        enter = np.flatnonzero(active)[int(np.argmax(wa))]
         passive[enter] = True
+        first = True
         while True:
-            cols = np.flatnonzero(passive)
+            cols = passive.nonzero()[0]
             if solves >= max_solves:
                 raise MaxIterations(
                     f"nnls exceeded {max_solves} least-squares solves"
                 )
-            z, *_ = _lstsq(B[:, cols], yv, lapack_driver="gelsy")
+            z = _lstsq_gelsy(B[:, cols], yv)
             solves += 1
-            if z.min() > 0.0:
+            if min(z.tolist()) > 0.0:
                 x = np.zeros(m)
                 x[cols] = z
+                w = B.T @ (yv - B @ x)
+                w[passive] = -np.inf
                 break
+            if first and z[cols.searchsorted(enter)] <= 0.0:
+                # Step 6: the entering column cannot take a positive weight.
+                passive[enter] = False
+                w[enter] = 0.0
+                break
+            first = False
             bad = z <= 0.0
-            xb = x[cols][bad]
+            xp = x[cols]
+            xb = xp[bad]
             diff = xb - z[bad]
             safe = diff > 0.0
             ratios = np.where(safe, xb / np.where(safe, diff, 1.0), 0.0)
             alpha = float(ratios.min())
-            xc = x[cols] + alpha * (z - x[cols])
+            xc = xp + alpha * (z - xp)
             xc[bad & (np.abs(xc) <= 1e-300)] = 0.0
             jmin = int(np.flatnonzero(bad)[int(np.argmin(ratios))])
             xc[jmin] = 0.0
             x = np.zeros(m)
             x[cols] = np.maximum(xc, 0.0)
             passive = x > 0.0
-        w = B.T @ (yv - B @ x)
     residual = float(np.linalg.norm(B @ x - yv))
     return NnlsResult(x=x, residual_norm=residual, iterations=solves)
 

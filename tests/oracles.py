@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import lstsq as _lstsq
 
-from conered.errors import MaxIterations, NumericalBreakdown
+from conered.errors import DimensionMismatch, MaxIterations, NumericalBreakdown
 from conered.hottopixx import LpSolution, ModelH, model_h_lp
 from conered.lp import STATUS_OPTIMAL, LpProblem, LpResult
+from conered.nnls import NnlsResult
 
 STATUS_INFEASIBLE = "infeasible"
 
@@ -43,6 +45,74 @@ def nnls_enumerate(b: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
                 best_res = res
                 best_x = x
     return best_x, best_res
+
+
+def nnls_lstsq_reference(b_mat, y) -> NnlsResult:
+    """The Lawson-Hanson NNLS solver as it was when every subproblem went
+    through ``scipy.linalg.lstsq(..., lapack_driver="gelsy")``, kept verbatim
+    so tests can require ``nnls_solve`` to return the same bytes.
+
+    Solve min ||B x - y||_2 subject to x >= 0.
+
+    On return x >= 0 exactly, x solves the least-squares problem on its
+    support, and off the support every gradient entry of B'(Bx - y) is
+    >= -16 * eps * ||B||_F * ||y||_2. ``iterations`` counts least-squares
+    subproblem solves; more than 10 * (number of columns) raise MaxIterations.
+    """
+    B = np.asarray(b_mat, dtype=np.float64)
+    if B.ndim != 2:
+        raise DimensionMismatch("dictionary must be a 2-d array")
+    yv = np.asarray(y, dtype=np.float64).reshape(-1)
+    d, m = B.shape
+    if yv.size != d:
+        raise DimensionMismatch(f"target length {yv.size} does not match {d} rows")
+    max_solves = 10 * max(m, 1)
+
+    x = np.zeros(m)
+    if m == 0:
+        return NnlsResult(x=x, residual_norm=float(np.linalg.norm(yv)), iterations=0)
+
+    tol = 16.0 * np.finfo(np.float64).eps * np.linalg.norm(B) * np.linalg.norm(yv)
+    passive = np.zeros(m, dtype=bool)
+    w = B.T @ yv
+    solves = 0
+    while True:
+        active = ~passive
+        if not active.any():
+            break
+        wa = w[active]
+        if wa.max() <= tol:
+            break
+        enter = np.flatnonzero(active)[int(np.argmax(wa))]
+        passive[enter] = True
+        while True:
+            cols = np.flatnonzero(passive)
+            if solves >= max_solves:
+                raise MaxIterations(
+                    f"nnls exceeded {max_solves} least-squares solves"
+                )
+            z, *_ = _lstsq(B[:, cols], yv, lapack_driver="gelsy")
+            solves += 1
+            if z.min() > 0.0:
+                x = np.zeros(m)
+                x[cols] = z
+                break
+            bad = z <= 0.0
+            xb = x[cols][bad]
+            diff = xb - z[bad]
+            safe = diff > 0.0
+            ratios = np.where(safe, xb / np.where(safe, diff, 1.0), 0.0)
+            alpha = float(ratios.min())
+            xc = x[cols] + alpha * (z - x[cols])
+            xc[bad & (np.abs(xc) <= 1e-300)] = 0.0
+            jmin = int(np.flatnonzero(bad)[int(np.argmin(ratios))])
+            xc[jmin] = 0.0
+            x = np.zeros(m)
+            x[cols] = np.maximum(xc, 0.0)
+            passive = x > 0.0
+        w = B.T @ (yv - B @ x)
+    residual = float(np.linalg.norm(B @ x - yv))
+    return NnlsResult(x=x, residual_norm=residual, iterations=solves)
 
 
 def jacobi_svd(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14):

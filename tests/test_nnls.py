@@ -1,11 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lstsq
 
-from conered import cone_membership, nnls_solve
+import conered
+import conered.reduction
+from conered import (
+    InputFormatError,
+    assemble,
+    cone_membership,
+    drs,
+    nnls_solve,
+    random_separable,
+    reduce_dimension,
+)
+from conered.errors import MaxIterations, NonFiniteInput
+from conered.nnls import _lstsq_gelsy
 
-from oracles import nnls_enumerate
+from oracles import nnls_enumerate, nnls_lstsq_reference
+
+# An N(0, 1) draw (criterion-6 style, d, m <= 5) on which Lawson-Hanson
+# without the step-6 guard cycles until MaxIterations.
+CYCLING_B = np.array([
+    [-0.7391541067300216, -2.2878479598665473, 1.1980712039539168],
+    [-0.1317892918583899, 0.23701653350802993, -0.11703397602258027],
+])
+CYCLING_Y = np.array([0.013128131730432561, 0.8547139160982621])
 
 
 def test_clamps_negative_coordinates():
@@ -112,3 +138,138 @@ def test_duplicate_columns_are_fine():
     b = np.array([[1.0, 1.0], [2.0, 2.0]])
     res = nnls_solve(b, np.array([2.0, 4.0]))
     assert res.residual_norm <= 1e-12
+
+
+def _assert_same_result(res, ref):
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.residual_norm == ref.residual_norm
+    assert res.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (2, 5), (5, 1), (1, 3)])
+def test_gelsy_helper_matches_scipy_lstsq(shape):
+    rng = np.random.default_rng(sum(shape))
+    for trial in range(50):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3)
+        if trial % 3 == 0 and shape[1] > 1:
+            a[:, -1] = a[:, 0]
+        y = rng.normal(size=shape[0])
+        a_before, y_before = a.copy(), y.copy()
+        z = _lstsq_gelsy(a, y)
+        expected = lstsq(a, y, lapack_driver="gelsy")[0]
+        assert z.shape == expected.shape == (shape[1],)
+        assert z.tobytes() == expected.tobytes()
+        assert np.array_equal(a, a_before) and np.array_equal(y, y_before)
+
+
+@st.composite
+def _nnls_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["normal", "duplicate", "low_rank"]))
+    b = rng.normal(size=(d, m))
+    if kind == "duplicate" and m > 1:
+        i, j = rng.choice(m, size=2, replace=False)
+        b[:, i] = b[:, j]
+    elif kind == "low_rank":
+        rank = int(rng.integers(1, min(d, m) + 1))
+        b = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, m))
+    y = rng.normal(size=d)
+    if draw(st.booleans()):
+        y = b @ np.abs(rng.normal(size=m))
+    scale = 10.0 ** draw(st.integers(-8, 2))
+    return scale * b, scale * y
+
+
+@given(_nnls_problems())
+@settings(max_examples=300, deadline=None)
+def test_bit_identical_to_lstsq_reference(problem):
+    b, y = problem
+    try:
+        ref = nnls_lstsq_reference(b, y)
+    except MaxIterations:
+        # The only outcome the step-6 guard changes: cycling becomes a solution.
+        res = nnls_solve(b, y)
+        _, exact = nnls_enumerate(b, y)
+        assert abs(res.residual_norm - exact) <= 1e-9 * max(1.0, np.linalg.norm(y))
+        return
+    _assert_same_result(nnls_solve(b, y), ref)
+
+
+def test_drs_membership_tests_bit_identical_to_lstsq_reference(monkeypatch):
+    inst = random_separable(d=30, n=600, r=5, seed=np.random.SeedSequence([4, 2]))
+    ap = reduce_dimension(assemble(inst, 0.1), 5)
+    calls = []
+
+    def checked(dictionary, target, eps_feas=1e-8):
+        member, res = cone_membership(dictionary, target, eps_feas)
+        _assert_same_result(res, nnls_lstsq_reference(dictionary, target))
+        calls.append(res.iterations)
+        return member, res
+
+    monkeypatch.setattr(conered.reduction, "cone_membership", checked)
+    drs(ap, 6)
+    assert len(calls) > 500
+    assert max(calls) > 1
+
+
+def test_cycling_reproducer_solved_by_step6_guard():
+    with pytest.raises(MaxIterations):
+        nnls_lstsq_reference(CYCLING_B, CYCLING_Y)
+    res = nnls_solve(CYCLING_B, CYCLING_Y)
+    ex, exact = nnls_enumerate(CYCLING_B, CYCLING_Y)
+    assert np.allclose(res.x, [0.0, 63.27889162, 120.84892012], rtol=1e-8, atol=0.0)
+    assert np.allclose(res.x, ex, rtol=1e-9, atol=0.0)
+    assert abs(res.residual_norm - exact) <= 1e-9
+
+
+def test_formerly_cycling_draws_match_enumeration():
+    rng = np.random.default_rng(1)
+    formerly_cycling = 0
+    for _ in range(12_000):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        b = rng.normal(size=(d, m))
+        y = rng.normal(size=d)
+        try:
+            nnls_lstsq_reference(b, y)
+        except MaxIterations:
+            formerly_cycling += 1
+            _, exact = nnls_enumerate(b, y)
+            assert abs(nnls_solve(b, y).residual_norm - exact) <= 1e-9
+    assert formerly_cycling >= 3
+
+
+@pytest.mark.parametrize(
+    "b, y, name",
+    [
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0]), "dictionary"),
+        (np.array([[1.0, 1.0], [0.0, -np.inf]]), np.array([1.0, 1.0]), "dictionary"),
+        (np.eye(2), np.array([np.inf, 1.0]), "target"),
+        (np.eye(2), np.array([1.0, np.nan]), "target"),
+        (np.zeros((2, 2)), np.array([np.inf, 0.0]), "target"),
+        (np.zeros((2, 0)), np.array([np.nan, 1.0]), "target"),
+    ],
+)
+def test_non_finite_input_is_named(b, y, name):
+    with pytest.raises(NonFiniteInput, match=name) as info:
+        nnls_solve(b, y)
+    assert isinstance(info.value, InputFormatError)
+
+
+def test_infinite_target_is_not_reported_as_outside_the_cone():
+    with pytest.raises(NonFiniteInput, match="target"):
+        cone_membership(np.eye(2), np.array([np.inf, 1.0]))
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about 16 MB of peak RSS; no import path may pull it in.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(conered.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, conered; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
