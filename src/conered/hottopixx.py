@@ -11,18 +11,37 @@ The absolute values are lifted into an epigraph matrix T with
 reads r representative columns off the solved X (method C): take the r
 largest diagonal entries as seeds, group every column with the seed that
 explains it best, and return each group's most central member.
+
+``solve_model_h`` runs ``lp``'s interior-point method on the standard form
+of ``model_h_lp``, with a Newton solve that uses the model's structure
+(``_ModelHKkt``): X's columns are independent blocks joined only by diag(X)
+and the trace row, so each iteration factors one q x q matrix per column
+and one m x m Schur complement on diag(X), and no sparse matrix. When that
+solve stalls, the iteration goes to ``lp``'s assembled KKT (symmetric
+SuperLU, then a pivoted LU), and ``LpSolution.fallbacks`` counts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 
 from .core import IndexSet, as_values
 from .errors import BadRank, DegenerateDiagonal, MaxIterations
-from .lp import STATUS_OPTIMAL, LpProblem, solve_lp_ipm, write_lp_text
+from .lp import (
+    _REFINE_ACCEPT,
+    STATUS_OPTIMAL,
+    LpProblem,
+    _assembled_kkt,
+    _backward_error,
+    _refine,
+    solve_lp_ipm,
+    write_lp_text,
+)
 
 # Feasibility tolerance for a solved X: the default of ``audit_model_h``
 # and the bound ``redic`` holds every LP solution to.
@@ -68,13 +87,18 @@ class ModelH:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solved model: X, the attained objective 1'T1, and the solver status."""
+    """Solved model: X, the attained objective 1'T1, and the solver status.
+
+    ``fallbacks`` counts the iterations whose Newton system went to the
+    assembled KKT's SuperLU factorization instead of the block solve.
+    """
 
     x_matrix: np.ndarray
     objective: float
     status: str
     gap: float
     iterations: int
+    fallbacks: int = 0
 
 
 def build_model_h(a, r: int) -> ModelH:
@@ -113,17 +137,11 @@ def model_h_lp(model: ModelH, with_names: bool = False) -> LpProblem:
         format="coo",
     )
 
-    pairs = [(i, j) for j in range(m) for i in range(m) if i != j]
+    # coupling rows run over the pairs (i, j), i != j, column j outermost
+    jj, ii = np.nonzero(~np.eye(m, dtype=bool))
     rows_c = np.repeat(np.arange(ncp), 3)
-    cols_c = np.empty(3 * ncp, dtype=np.int64)
-    vals_c = np.empty(3 * ncp)
-    for k, (i, j) in enumerate(pairs):
-        cols_c[3 * k] = i + j * m
-        vals_c[3 * k] = 1.0
-        cols_c[3 * k + 1] = i + i * m
-        vals_c[3 * k + 1] = -1.0
-        cols_c[3 * k + 2] = nx + 3 * nt + k
-        vals_c[3 * k + 2] = 1.0
+    cols_c = np.column_stack([ii + jj * m, ii * (m + 1), nx + 3 * nt + np.arange(ncp)]).ravel()
+    vals_c = np.tile([1.0, -1.0, 1.0], ncp)
     coupling = sp.coo_matrix((vals_c, (rows_c, cols_c)), shape=(ncp, nv))
 
     diag_cols = np.arange(m) * (m + 1)
@@ -147,7 +165,7 @@ def model_h_lp(model: ModelH, with_names: bool = False) -> LpProblem:
             + [f"t_{u}_{j}" for j in range(m) for u in range(q)]
             + [f"sp_{u}_{j}" for j in range(m) for u in range(q)]
             + [f"sm_{u}_{j}" for j in range(m) for u in range(q)]
-            + [f"sc_{i}_{j}" for (i, j) in pairs]
+            + [f"sc_{i}_{j}" for i, j in zip(ii.tolist(), jj.tolist())]
         )
     return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=ub, names=names)
 
@@ -157,7 +175,7 @@ def solve_model_h(model: ModelH) -> LpSolution:
 
     Raises MaxIterations when the solver stops at its iteration cap.
     """
-    res = solve_lp_ipm(model_h_lp(model))
+    res = solve_lp_ipm(model_h_lp(model), _kkt_solver=partial(_ModelHKkt, model.a))
     if res.status != STATUS_OPTIMAL:
         raise MaxIterations("LP solve hit its iteration limit before converging")
     m = model.m
@@ -168,7 +186,193 @@ def solve_model_h(model: ModelH) -> LpSolution:
         status=res.status,
         gap=res.gap,
         iterations=res.iterations,
+        fallbacks=res.fallbacks,
     )
+
+
+class _ModelHKkt:
+    """Newton solves for ``model_h_lp``'s KKT system, block by block.
+
+    The system is ``lp``'s augmented form
+
+        [ -(D + reg I)   A' ] [dx]   [f ]
+        [      A      reg I ] [dy] = [rp]
+
+    with theta = 1 / (D + reg). Every variable except p = diag(X) is
+    eliminated by dx = theta (A'dy - f), which leaves M = A_o theta A_o' +
+    reg I on the rows. M is block diagonal over the columns j of X: block j
+    holds the q E+ rows, the q E- rows and the m - 1 coupling rows of column
+    j. Only p and the trace row join the blocks. Within block j:
+
+    - The coupling rows eliminate in closed form, leaving the weight
+      omega = theta_x (theta_sc + reg) / (theta_x + theta_sc + reg) on each
+      off-diagonal X(i, j).
+    - In the basis E+ + E-, E+ - E-, each epigraph row's t/s+/s- pair
+      eliminates in closed form. That leaves one q x q matrix
+      U_j = 2 A diag(omega_j) A' + diag(psi_j), with
+      psi = (sigma theta_t + (theta_s+ + reg)(theta_s- + reg))
+      / (2 theta_t + sigma / 2) and sigma = theta_s+ + theta_s- + 2 reg.
+
+    Both closed forms are sums and products of positive terms, so neither
+    cancels when theta spans twenty orders of magnitude. dp then solves the
+    m x m Schur complement S = D_p + sum_j P_j' M_j^-1 P_j, where P_j holds
+    p's columns on block j's rows, bordered by the trace row. The Cholesky
+    factors of U_j (batched over j) and of S come from the QR factorization
+    of a square root of each, U = B'B, which is not formed; a Cholesky of
+    the formed matrix breaks down near convergence, where its condition
+    number passes 1 / eps. That costs O(m^2 q^2 + m^3 q) per iteration, with no sparse
+    factorization (a block-angular Newton solve as in Gondzio & Grothey,
+    Comput. Optim. Appl. 2009).
+
+    Solves are refined against the unfactored KKT as in ``lp._KktSolver``.
+    When refinement stalls above ``lp._REFINE_ACCEPT``, or a factor is
+    singular (numpy's LinAlgError), the assembled KKT (``lp._KktSolver``)
+    takes over for the rest of the iteration at the same ``reg``. Its
+    constructor's RuntimeError, raised when that KKT cannot be factored
+    either, reaches the ``reg`` loop of ``solve_lp_ipm``.
+    """
+
+    def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):
+        self.a, self.a_eq, self.at = a_dict, a_eq, at
+        self.d_inv, self.reg = d_inv, reg
+        self.d = d_inv + reg
+        self.theta = 1.0 / self.d
+        m = a_dict.shape[1]
+        self.p = np.arange(m) * (m + 1)  # the columns of diag(X)
+        self.off = ~np.eye(m, dtype=bool)
+        self.fallback = None
+        try:
+            self._factor()
+        except np.linalg.LinAlgError:
+            self.fallback = _assembled_kkt(a_eq, at, d_inv, reg)
+            return
+        self.abs_a, self.abs_at = abs(a_eq), abs(at)
+
+    @property
+    def fell_back(self) -> bool:
+        return self.fallback is not None
+
+    def _factor(self) -> None:
+        a, th, reg, off = self.a, self.theta, self.reg, self.off
+        q, m = a.shape
+        nx, nt = m * m, q * m
+        # Block j's variables as rows j of (m, q) and (m, m) arrays; the
+        # diagonal slot of the (m, m) ones is p's, so it is zero here.
+        self.th_x = np.where(off, th[:nx].reshape(m, m), 0.0)
+        th_t, th_sp, th_sm = (th[nx + k * nt : nx + (k + 1) * nt].reshape(m, q) for k in (0, 1, 2))
+        th_c = np.zeros((m, m))
+        th_c[off] = th[nx + 3 * nt :]
+        c = self.th_x + th_c + reg
+        self.inv_c = np.where(off, 1.0 / c, 0.0)
+        omega = self.th_x * (th_c + reg) * self.inv_c
+        sigma = th_sp + th_sm + 2.0 * reg
+        psi = (sigma * th_t + (th_sp + reg) * (th_sm + reg)) / (2.0 * th_t + 0.5 * sigma)
+        self.kappa = 4.0 * th_t + sigma
+        self.delta = th_sp - th_sm
+        # U_j = B_j'B_j for B_j = [sqrt(2 omega_j) A'; diag(sqrt(psi_j))]: the
+        # R of B_j's QR is U_j's Cholesky factor up to the signs of its rows
+        b = np.concatenate(
+            [np.sqrt(2.0 * omega)[:, :, None] * a.T, np.sqrt(psi)[:, :, None] * np.eye(q)], axis=1
+        )
+        self.u_lower = np.linalg.qr(b, mode="r").transpose(0, 2, 1)
+        if not np.all(np.abs(self.u_lower[:, np.arange(q), np.arange(q)]) > 0.0):
+            raise np.linalg.LinAlgError("a block's triangular factor is singular")
+        # P_j' M_j^-1 P_j = 2 (A Phi_j)' U_j^-1 (A Phi_j) + diag(1 / c_j) off j,
+        # so S = 2 W'W + diag(D_p + sum_j 1 / c_j) with W_j = L_j^-1 A Phi_j
+        phi = self.th_x * self.inv_c
+        phi[~off] = 1.0
+        w = _forward_substitute(self.u_lower, a * phi[:, None, :]).reshape(m * q, m)
+        s_diag = self.d[self.p] + self.inv_c.sum(axis=0)
+        s_upper = np.linalg.qr(np.concatenate([np.sqrt(2.0) * w, np.diag(np.sqrt(s_diag))]), mode="r")
+        if not np.all(np.abs(np.diag(s_upper)) > 0.0):
+            raise np.linalg.LinAlgError("the Schur complement's triangular factor is singular")
+        self.s_factor = (s_upper, False)
+        self.v = cho_solve(self.s_factor, np.ones(m), check_finite=False)
+        self.v_sum = float(self.v.sum()) + reg
+
+    def _solve_blocks(self, r_p, r_m, r_c):
+        """M z = r on the block rows: E+ and E- as (m, q), coupling as (m, m)."""
+        corr = (self.th_x * (r_c * self.inv_c)) @ self.a.T
+        diff = r_p - r_m
+        rho = r_p + r_m - 2.0 * corr - self.delta * diff / self.kappa
+        s = _back_substitute(self.u_lower, _forward_substitute(self.u_lower, rho[:, :, None]))[:, :, 0]
+        d = (2.0 * diff - self.delta * s) / self.kappa
+        z_c = (r_c - self.th_x * (s @ self.a)) * self.inv_c
+        return 0.5 * (s + d), 0.5 * (s - d), z_c
+
+    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
+        a, off = self.a, self.off
+        q, m = a.shape
+        nv, nt = self.d.size, q * m
+        f, rp = rhs[:nv], rhs[nv:]
+        tf = self.theta * f
+        tf[self.p] = 0.0
+        g = rp + self.a_eq @ tf
+        g_p, g_m = g[:nt].reshape(m, q), g[nt : 2 * nt].reshape(m, q)
+        g_c = np.zeros((m, m))
+        g_c[off] = g[2 * nt : -1]
+        z_p, z_m, z_c = self._solve_blocks(g_p, g_m, g_c)
+        h = ((z_p + z_m) * a.T).sum(axis=1) - z_c.sum(axis=0) - f[self.p]
+        u = cho_solve(self.s_factor, h, check_finite=False)
+        dy_trace = (g[-1] - u.sum()) / self.v_sum
+        dp = u + self.v * dy_trace
+        a_dp = a.T * dp[:, None]
+        y_p, y_m, y_c = self._solve_blocks(g_p - a_dp, g_m - a_dp, g_c + np.where(off, dp, 0.0))
+        dy = np.concatenate([y_p.ravel(), y_m.ravel(), y_c[off], [dy_trace]])
+        dx = self.theta * (self.at @ dy - f)
+        dx[self.p] = dp
+        return np.concatenate([dx, dy])
+
+    def _residual(self, x: np.ndarray, rhs: np.ndarray):
+        nv = self.d.size
+        dx, dy = x[:nv], x[nv:]
+        kx = np.concatenate([self.at @ dy - self.d * dx, self.a_eq @ dx + self.reg * dy])
+        abs_dx, abs_dy = np.abs(dx), np.abs(dy)
+        scale = np.concatenate(
+            [self.abs_at @ abs_dy + self.d * abs_dx, self.abs_a @ abs_dx + self.reg * abs_dy]
+        )
+        r = rhs - kx
+        return r, _backward_error(r, scale + np.abs(rhs))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.fallback is not None:
+            return self.fallback.solve(rhs)
+        x, omega = _refine(self._solve_once, self._residual, rhs)
+        if omega > _REFINE_ACCEPT:
+            try:
+                self.fallback = _assembled_kkt(self.a_eq, self.at, self.d_inv, self.reg)
+            except RuntimeError:
+                return x
+            x_kkt, omega_kkt = self.fallback.refined_solve(rhs)
+            if omega_kkt < omega:
+                x = x_kkt
+        return x
+
+
+def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L_j z_j = b_j for every j: ``lower`` is (m, q, q), b is (m, q, k).
+
+    Substitution vectorized over the blocks. An LU solve of U_j itself can
+    meet an exact zero pivot when U_j's condition number passes 1 / eps; this
+    cannot, since L_j's diagonal is checked nonzero and finite.
+    """
+    z = b.copy()
+    for i in range(z.shape[1]):
+        if i:
+            z[:, i] -= (lower[:, i : i + 1, :i] @ z[:, :i])[:, 0]
+        z[:, i] /= lower[:, i, i, None]
+    return z
+
+
+def _back_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L_j' z_j = b_j for every j, with arguments as in ``_forward_substitute``."""
+    z = b.copy()
+    q = z.shape[1]
+    for i in reversed(range(q)):
+        if i < q - 1:
+            z[:, i] -= (lower[:, i + 1 :, i][:, None, :] @ z[:, i + 1 :])[:, 0]
+        z[:, i] /= lower[:, i, i, None]
+    return z
 
 
 def audit_model_h(model: ModelH, x_matrix: np.ndarray, tol: float = TOL_LP) -> dict:

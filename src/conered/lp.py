@@ -18,7 +18,14 @@ componentwise backward error is a few machine epsilons (Arioli, Demmel & Duff
 1989). A partially pivoted LU, also refined, takes over for the rest of the
 iteration when the diagonal factorization reports the matrix singular or when
 refinement stalls above ``_REFINE_ACCEPT``; this happens near convergence,
-where D spans twenty orders of magnitude. The solver is deterministic.
+where D spans twenty orders of magnitude. ``LpResult.fallbacks`` counts the
+iterations in which it did. The solver is deterministic.
+
+A caller that knows its problem's structure can pass its own Newton solver
+through the private ``_kkt_solver`` keyword: ``hottopixx`` solves Model H's
+system block by block and hands an iteration to the assembled KKT above
+when its own refinement stalls, so the same acceptance rule holds on both
+paths, and ``fallbacks`` then counts those hand-overs.
 
 ``write_lp_text`` exports a problem in the plain-text LP file format, so an
 external solver can check it.
@@ -76,14 +83,28 @@ class LpResult:
     status: str
     iterations: int
     gap: float
+    # Iterations in which the first-choice Newton solve stalled or could not
+    # be factored, and a fallback SuperLU factorization took over.
+    fallbacks: int = 0
 
 
-def solve_lp_ipm(prob: LpProblem, tol: float = 1e-10, max_iter: int = 200) -> LpResult:
+def _assembled_kkt(a, at, d_inv, reg: float) -> "_KktSolver":
+    return _KktSolver(_kkt_matrix(a, at, d_inv, reg))
+
+
+def solve_lp_ipm(
+    prob: LpProblem, tol: float = 1e-10, max_iter: int = 200, *, _kkt_solver=_assembled_kkt
+) -> LpResult:
     """Mehrotra predictor-corrector interior-point solve.
 
     Converges when the scaled primal/dual residuals and the relative duality
     gap all drop below ``tol``. Raises NumericalBreakdown on non-finite
     iterates or an unfactorable Newton system.
+
+    ``_kkt_solver(a, at, d_inv, reg)`` builds each iteration's Newton solver
+    (an object with ``solve(rhs)`` and ``fell_back``); it raises RuntimeError
+    when the system cannot be factored at that ``reg``. ``hottopixx`` passes
+    one that exploits Model H's block structure.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
@@ -107,6 +128,7 @@ def solve_lp_ipm(prob: LpProblem, tol: float = 1e-10, max_iter: int = 200) -> Lp
 
     status = STATUS_ITERATION_LIMIT
     it = 0
+    fallbacks = 0
     relgap = np.inf
     for it in range(1, max_iter + 1):
         qf = np.zeros(nv)
@@ -135,7 +157,7 @@ def solve_lp_ipm(prob: LpProblem, tol: float = 1e-10, max_iter: int = 200) -> Lp
         reg = 1e-12
         while solver is None:
             try:
-                solver = _KktSolver(_kkt_matrix(A, AT, d_inv, reg))
+                solver = _kkt_solver(A, AT, d_inv, reg)
             except RuntimeError:
                 reg *= 1e4
                 if reg > 1e-2:
@@ -179,6 +201,7 @@ def solve_lp_ipm(prob: LpProblem, tol: float = 1e-10, max_iter: int = 200) -> Lp
         ad = 0.9995 * min(max_step(z, dz), max_step(q, dq) if nb else 1.0)
         ap = min(1.0, ap)
         ad = min(1.0, ad)
+        fallbacks += solver.fell_back
 
         x = x + ap * dx
         w = w + ap * dw
@@ -196,6 +219,7 @@ def solve_lp_ipm(prob: LpProblem, tol: float = 1e-10, max_iter: int = 200) -> Lp
         status=status,
         iterations=it,
         gap=relgap,
+        fallbacks=fallbacks,
     )
 
 
@@ -226,41 +250,58 @@ class _KktSolver:
             self.lu = splu(kkt)
             self.pivoted = True
 
+    @property
+    def fell_back(self) -> bool:
+        """True once the pivoted LU has taken over from the diagonal one."""
+        return self.pivoted
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, omega = self._refine(rhs)
+        return self.refined_solve(rhs)[0]
+
+    def refined_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The solution and its componentwise backward error."""
+        x, omega = _refine(self.lu.solve, self._residual, rhs)
         if omega > _REFINE_ACCEPT and not self.pivoted:
             try:
                 self.lu = splu(self.kkt)
             except RuntimeError:
-                return x
+                return x, omega
             self.pivoted = True
-            x_piv, omega_piv = self._refine(rhs)
+            x_piv, omega_piv = _refine(self.lu.solve, self._residual, rhs)
             if omega_piv < omega:
-                x = x_piv
-        return x
-
-    def _refine(self, rhs):
-        """Solve, then refine while each step at least halves the error."""
-        x = self.lu.solve(rhs)
-        r, omega = self._residual(x, rhs)
-        while _REFINE_TARGET < omega < np.inf:
-            x_new = x + self.lu.solve(r)
-            r_new, omega_new = self._residual(x_new, rhs)
-            if not omega_new <= 0.5 * omega:
-                break
-            x, r, omega = x_new, r_new, omega_new
+                x, omega = x_piv, omega_piv
         return x, omega
 
     def _residual(self, x, rhs):
-        """Residual and componentwise backward error max |r| / (|K||x| + |b|).
-
-        A row with zero scale has zero residual. A non-finite x gives inf.
-        """
         r = rhs - self.kkt @ x
-        scale = self.abs_kkt @ np.abs(x) + np.abs(rhs)
-        ratio = np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0.0)
-        omega = float(ratio.max(initial=0.0))
-        return r, omega if np.isfinite(omega) else np.inf
+        return r, _backward_error(r, self.abs_kkt @ np.abs(x) + np.abs(rhs))
+
+
+def _refine(solve, residual, rhs):
+    """Solve, then refine while each step at least halves the error.
+
+    ``residual(x, rhs)`` returns the residual against the unfactored matrix
+    and its componentwise backward error. Returns x and that error.
+    """
+    x = solve(rhs)
+    r, omega = residual(x, rhs)
+    while _REFINE_TARGET < omega < np.inf:
+        x_new = x + solve(r)
+        r_new, omega_new = residual(x_new, rhs)
+        if not omega_new <= 0.5 * omega:
+            break
+        x, r, omega = x_new, r_new, omega_new
+    return x, omega
+
+
+def _backward_error(r: np.ndarray, scale: np.ndarray) -> float:
+    """Componentwise backward error max |r| / (|K||x| + |b|), given that scale.
+
+    A row with zero scale has zero residual. A non-finite x gives inf.
+    """
+    ratio = np.divide(np.abs(r), scale, out=np.zeros_like(r), where=scale != 0.0)
+    omega = float(ratio.max(initial=0.0))
+    return omega if np.isfinite(omega) else np.inf
 
 
 def write_lp_text(prob: LpProblem, path: str, name: str = "problem") -> None:

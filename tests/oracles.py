@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lstsq as _lstsq
 
 from conered.errors import DimensionMismatch, MaxIterations, NumericalBreakdown
@@ -421,3 +422,71 @@ def simplex_model_h(model: ModelH) -> LpSolution:
         gap=res.gap,
         iterations=res.iterations,
     )
+
+
+def model_h_lp_loop(model: ModelH, with_names: bool = False) -> LpProblem:
+    """``hottopixx.model_h_lp`` with its coupling rows built by a Python loop.
+
+    The reference for the vectorized coupling rows: the same LP, with the
+    same CSR arrays, variable names and right-hand side.
+    """
+    a = model.a
+    q, m = a.shape
+    nx = m * m
+    nt = q * m
+    ncp = m * (m - 1)
+    nv = nx + nt + 2 * nt + ncp
+
+    eye_t = sp.identity(nt, format="coo")
+    ax_block = sp.kron(sp.identity(m, format="coo"), sp.coo_matrix(a))
+
+    # rows 0..nt-1:        AX + T - s_plus = A      (A - AX <= T)
+    # rows nt..2nt-1:      AX - T + s_minus = A     (AX - A <= T)
+    # rows 2nt..+ncp-1:    X(i,j) - X(i,i) + s_c = 0  for i != j
+    # last row:            sum_i X(i,i) = r
+    upper = sp.hstack(
+        [ax_block, eye_t, -sp.identity(nt), sp.coo_matrix((nt, nt + ncp))],
+        format="coo",
+    )
+    lower = sp.hstack(
+        [ax_block, -eye_t, sp.coo_matrix((nt, nt)), sp.identity(nt), sp.coo_matrix((nt, ncp))],
+        format="coo",
+    )
+
+    pairs = [(i, j) for j in range(m) for i in range(m) if i != j]
+    rows_c = np.repeat(np.arange(ncp), 3)
+    cols_c = np.empty(3 * ncp, dtype=np.int64)
+    vals_c = np.empty(3 * ncp)
+    for k, (i, j) in enumerate(pairs):
+        cols_c[3 * k] = i + j * m
+        vals_c[3 * k] = 1.0
+        cols_c[3 * k + 1] = i + i * m
+        vals_c[3 * k + 1] = -1.0
+        cols_c[3 * k + 2] = nx + 3 * nt + k
+        vals_c[3 * k + 2] = 1.0
+    coupling = sp.coo_matrix((vals_c, (rows_c, cols_c)), shape=(ncp, nv))
+
+    diag_cols = np.arange(m) * (m + 1)
+    trace = sp.coo_matrix(
+        (np.ones(m), (np.zeros(m, dtype=np.int64), diag_cols)), shape=(1, nv)
+    )
+
+    a_eq = sp.vstack([upper, lower, coupling, trace], format="csr")
+    b_eq = np.concatenate(
+        [a.ravel(order="F"), a.ravel(order="F"), np.zeros(ncp), [float(model.r)]]
+    )
+    c = np.zeros(nv)
+    c[nx : nx + nt] = 1.0
+    ub = np.full(nv, np.inf)
+    ub[:nx] = 1.0
+
+    names = None
+    if with_names:
+        names = (
+            [f"x_{i}_{j}" for j in range(m) for i in range(m)]
+            + [f"t_{u}_{j}" for j in range(m) for u in range(q)]
+            + [f"sp_{u}_{j}" for j in range(m) for u in range(q)]
+            + [f"sm_{u}_{j}" for j in range(m) for u in range(q)]
+            + [f"sc_{i}_{j}" for (i, j) in pairs]
+        )
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=ub, names=names)

@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conered import build_model_h, model_h_lp, postprocess_method_c, solve_model_h
+import conered.hottopixx as hottopixx
+from conered import (
+    HsiMatrix,
+    RedicConfig,
+    assemble,
+    build_model_h,
+    model_h_lp,
+    postprocess_method_c,
+    random_separable,
+    redic,
+    solve_model_h,
+)
 from conered.errors import BadRank, DegenerateDiagonal
-from conered.hottopixx import audit_model_h, write_model_lp
+from conered.hottopixx import _ModelHKkt, audit_model_h, write_model_lp
+from conered.lp import _kkt_matrix, solve_lp_ipm
 
-from oracles import simplex_model_h
+from oracles import model_h_lp_loop, simplex_model_h
 
 
 def test_variable_count_small():
@@ -157,3 +170,81 @@ def test_solution_always_passes_audit(case_seed):
     model = build_model_h(a, r)
     sol = solve_model_h(model)
     assert audit_model_h(model, sol.x_matrix)["ok"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 39])
+def test_lp_matches_loop_reference(m):
+    model = build_model_h(np.random.default_rng(m).random((3, m)), 1)
+    prob = model_h_lp(model, with_names=True)
+    ref = model_h_lp_loop(model, with_names=True)
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(prob.a_eq, attr), getattr(ref.a_eq, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for attr in ("c", "b_eq", "ub"):
+        assert np.array_equal(getattr(prob, attr), getattr(ref, attr))
+    assert prob.names == ref.names
+
+
+def _kkt_parts(a, d, reg=1e-12):
+    a_eq = model_h_lp(build_model_h(a, 4)).a_eq
+    at = sp.csc_matrix(a_eq.T)
+    return a_eq, at, _kkt_matrix(a_eq, at, d, reg)
+
+
+def test_block_solve_matches_dense_solve_over_twenty_decades():
+    # the instance of lp's refined-solve test: theta spans 1e-10 ... 1e10
+    rng = np.random.default_rng(83)
+    a = rng.random((4, 39))
+    nv = model_h_lp(build_model_h(a, 4)).c.size
+    d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
+    a_eq, at, kkt = _kkt_parts(a, d)
+    b = rng.standard_normal(kkt.shape[0])
+    solver = _ModelHKkt(a, a_eq, at, d, 1e-12)
+    x = solver.solve(b)
+    assert not solver.fell_back
+    assert solver._residual(x, b)[1] <= 1e-13
+    r = b - kkt @ x
+    knorm = abs(kkt).sum(axis=1).max()
+    assert np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max()) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_block_solve_without_a_factor_uses_the_assembled_kkt():
+    # a negative weight on s+ (theta_s+ = -1, theta_t = theta_s- = 1) makes
+    # psi = -1/2, and small X weights leave every U_j indefinite: it has no
+    # Cholesky factor
+    rng = np.random.default_rng(84)
+    a = rng.random((3, 6))
+    nv = model_h_lp(build_model_h(a, 4)).c.size
+    d = np.ones(nv)
+    d[:36] = 1e6
+    d[54:72] = -1.0
+    a_eq, at, kkt = _kkt_parts(a, d)
+    b = rng.standard_normal(kkt.shape[0])
+    solver = _ModelHKkt(a, a_eq, at, d, 1e-12)
+    assert solver.fell_back
+    x = solver.solve(b)
+    assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+def test_block_solve_keeps_iterations_and_fallbacks_on_extract_instance(monkeypatch):
+    # perfbench extract-lp, seed 1, input 0: its two LPs took 26 and 29
+    # iterations, each with one pivoted-LU fallback, before the block solve
+    inst = random_separable(d=50, n=1000, r=4, seed=3)
+    perm = np.random.default_rng(np.random.SeedSequence([1, 1, 0])).permutation(1000)
+    a = assemble(inst, 0.5).values[:, perm]
+    calls = []
+
+    def recording(prob, *args, **kwargs):
+        res = solve_lp_ipm(prob, *args, **kwargs)
+        calls.append((prob, res))
+        return res
+
+    monkeypatch.setattr(hottopixx, "solve_lp_ipm", recording)
+    redic(HsiMatrix(a), RedicConfig(r=4, lam=4, tau=2, p=30))
+    assert [res.iterations for _, res in calls] == [26, 29]
+    for prob, res in calls:
+        assembled = solve_lp_ipm(prob)
+        assert res.fallbacks <= assembled.fallbacks == 1
+        assert res.iterations == assembled.iterations
+        assert res.objective == pytest.approx(assembled.objective, rel=1e-9)

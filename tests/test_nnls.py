@@ -20,7 +20,7 @@ from conered import (
     random_separable,
     reduce_dimension,
 )
-from conered.errors import MaxIterations, NonFiniteInput
+from conered.errors import MaxIterations, NonFiniteInput, NumericalBreakdown
 from conered.nnls import _lstsq_gelsy
 
 from oracles import nnls_enumerate, nnls_lstsq_reference
@@ -261,6 +261,36 @@ def test_non_finite_input_is_named(b, y, name):
 def test_infinite_target_is_not_reported_as_outside_the_cone():
     with pytest.raises(NonFiniteInput, match="target"):
         cone_membership(np.eye(2), np.array([np.inf, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_norms_are_solved_by_power_of_two_scaling():
+    # ||B||_F * ||y||_2 overflows: the loop used to stop at once with x = 0
+    res = nnls_solve(1e200 * np.eye(2), [1e200, 1e200])
+    assert res.x.tolist() == [1.0, 1.0]
+    assert res.residual_norm == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("eb, ey", [(600, 600), (700, 650), (1000, 100), (100, 1000)])
+def test_overflowing_scale_gives_the_scaled_solution(eb, ey):
+    # largest entries in [1/2, 1), so the guard's powers of two are eb and ey
+    rng = np.random.default_rng(eb + ey)
+    b = rng.standard_normal((5, 4))
+    y = rng.standard_normal(5)
+    b = np.ldexp(b, -int(np.frexp(np.abs(b).max())[1]))
+    y = np.ldexp(y, -int(np.frexp(np.abs(y).max())[1]))
+    ref = nnls_solve(b, y)
+    res = nnls_solve(np.ldexp(b, eb), np.ldexp(y, ey))
+    assert np.array_equal(res.x, np.ldexp(ref.x, ey - eb))
+    assert res.residual_norm == np.ldexp(ref.residual_norm, ey)
+    assert res.iterations == ref.iterations
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_solution_beyond_float64_raises():
+    with pytest.raises(NumericalBreakdown):
+        nnls_solve(1e-200 * np.eye(2), [1e200, 1e200])
 
 
 def test_import_leaves_scipy_optimize_out():
