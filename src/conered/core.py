@@ -170,6 +170,15 @@ def mrsa(a, b, norm_tol: float = 1e-12) -> float:
     return theta / math.pi
 
 
+def mrsa_cost(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """cost[i, k] = mrsa(c[:, i], w[:, k]) for 2-d arrays, pair by pair."""
+    cost = np.empty((c.shape[1], w.shape[1]))
+    for i in range(c.shape[1]):
+        for k in range(w.shape[1]):
+            cost[i, k] = mrsa(c[:, i], w[:, k])
+    return cost
+
+
 def mrsa_pairwise(p, q, norm_tol: float = 1e-12) -> np.ndarray:
     """All-pairs MRSA between the columns of two matrices.
 

@@ -13,12 +13,13 @@ largest diagonal entries as seeds, group every column with the seed that
 explains it best, and return each group's most central member.
 
 ``solve_model_h`` runs ``lp``'s interior-point method on the standard form
-of ``model_h_lp``, with a Newton solve that uses the model's structure
-(``_ModelHKkt``): X's columns are independent blocks joined only by diag(X)
-and the trace row, so each iteration factors one q x q matrix per column
-and one m x m Schur complement on diag(X), and no sparse matrix. When that
-solve stalls, the iteration goes to ``lp``'s assembled KKT (symmetric
-SuperLU, then a pivoted LU), and ``LpSolution.fallbacks`` counts it.
+of ``model_h_lp``, and heads ``lp``'s chain of Newton-solve stages with one
+that uses the model's structure (``_ModelHKkt``): X's columns are independent
+blocks joined only by diag(X) and the trace row, so each iteration factors
+one q x q matrix per column and one m x m Schur complement on diag(X), and no
+sparse matrix. When that stage cannot factor or its refinement stalls, the
+chain's stages on the assembled KKT (symmetric SuperLU, then a pivoted LU)
+take the iteration over, and ``LpSolution.fallbacks`` counts it.
 """
 
 from __future__ import annotations
@@ -32,16 +33,7 @@ from scipy.linalg import cho_solve
 
 from .core import IndexSet, as_values
 from .errors import BadRank, DegenerateDiagonal, MaxIterations
-from .lp import (
-    _REFINE_ACCEPT,
-    STATUS_OPTIMAL,
-    LpProblem,
-    _assembled_kkt,
-    _backward_error,
-    _refine,
-    solve_lp_ipm,
-    write_lp_text,
-)
+from .lp import STATUS_OPTIMAL, LpProblem, _backward_error, solve_lp_ipm, write_lp_text
 
 # Feasibility tolerance for a solved X: the default of ``audit_model_h``
 # and the bound ``redic`` holds every LP solution to.
@@ -175,7 +167,7 @@ def solve_model_h(model: ModelH) -> LpSolution:
 
     Raises MaxIterations when the solver stops at its iteration cap.
     """
-    res = solve_lp_ipm(model_h_lp(model), _kkt_solver=partial(_ModelHKkt, model.a))
+    res = solve_lp_ipm(model_h_lp(model), _first_stage=partial(_block_stage, model.a))
     if res.status != STATUS_OPTIMAL:
         raise MaxIterations("LP solve hit its iteration limit before converging")
     m = model.m
@@ -188,6 +180,12 @@ def solve_model_h(model: ModelH) -> LpSolution:
         iterations=res.iterations,
         fallbacks=res.fallbacks,
     )
+
+
+def _block_stage(*args):
+    """The first stage of ``lp``'s Newton-solve chain: ``_ModelHKkt(*args)``."""
+    kkt = _ModelHKkt(*args)
+    return kkt._solve_once, kkt._residual
 
 
 class _ModelHKkt:
@@ -224,33 +222,22 @@ class _ModelHKkt:
     factorization (a block-angular Newton solve as in Gondzio & Grothey,
     Comput. Optim. Appl. 2009).
 
-    Solves are refined against the unfactored KKT as in ``lp._KktSolver``.
-    When refinement stalls above ``lp._REFINE_ACCEPT``, or a factor is
-    singular (numpy's LinAlgError), the assembled KKT (``lp._KktSolver``)
-    takes over for the rest of the iteration at the same ``reg``. Its
-    constructor's RuntimeError, raised when that KKT cannot be factored
-    either, reaches the ``reg`` loop of ``solve_lp_ipm``.
+    The constructor factors, and raises numpy's LinAlgError when a factor
+    is singular. ``_residual`` measures a solve against the unfactored KKT
+    without assembling it, so ``lp``'s chain refines ``_solve_once`` with it
+    and hands a stalled solve to its next stage.
     """
 
     def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):
         self.a, self.a_eq, self.at = a_dict, a_eq, at
-        self.d_inv, self.reg = d_inv, reg
+        self.reg = reg
         self.d = d_inv + reg
         self.theta = 1.0 / self.d
         m = a_dict.shape[1]
         self.p = np.arange(m) * (m + 1)  # the columns of diag(X)
         self.off = ~np.eye(m, dtype=bool)
-        self.fallback = None
-        try:
-            self._factor()
-        except np.linalg.LinAlgError:
-            self.fallback = _assembled_kkt(a_eq, at, d_inv, reg)
-            return
+        self._factor()
         self.abs_a, self.abs_at = abs(a_eq), abs(at)
-
-    @property
-    def fell_back(self) -> bool:
-        return self.fallback is not None
 
     def _factor(self) -> None:
         a, th, reg, off = self.a, self.theta, self.reg, self.off
@@ -333,20 +320,6 @@ class _ModelHKkt:
         )
         r = rhs - kx
         return r, _backward_error(r, scale + np.abs(rhs))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.fallback is not None:
-            return self.fallback.solve(rhs)
-        x, omega = _refine(self._solve_once, self._residual, rhs)
-        if omega > _REFINE_ACCEPT:
-            try:
-                self.fallback = _assembled_kkt(self.a_eq, self.at, self.d_inv, self.reg)
-            except RuntimeError:
-                return x
-            x_kkt, omega_kkt = self.fallback.refined_solve(rhs)
-            if omega_kkt < omega:
-                x = x_kkt
-        return x
 
 
 def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,22 +10,21 @@ form
     [      A      reg I ] [dy] = [ rp ]
 
 which is symmetric quasi-definite: such a matrix has a stable LDL'-type
-factorization under any symmetric permutation (Vanderbei 1995). SuperLU
-therefore factors it on its diagonal, in symmetric mode under a minimum-degree
-order of A + A', which keeps the fill about ten times below a partially
-pivoted LU. Every solve is refined against the unfactored matrix until its
-componentwise backward error is a few machine epsilons (Arioli, Demmel & Duff
-1989). A partially pivoted LU, also refined, takes over for the rest of the
-iteration when the diagonal factorization reports the matrix singular or when
-refinement stalls above ``_REFINE_ACCEPT``; this happens near convergence,
-where D spans twenty orders of magnitude. ``LpResult.fallbacks`` counts the
-iterations in which it did. The solver is deterministic.
-
-A caller that knows its problem's structure can pass its own Newton solver
-through the private ``_kkt_solver`` keyword: ``hottopixx`` solves Model H's
-system block by block and hands an iteration to the assembled KKT above
-when its own refinement stalls, so the same acceptance rule holds on both
-paths, and ``fallbacks`` then counts those hand-overs.
+factorization under any symmetric permutation (Vanderbei 1995). Each
+iteration's solves go through one chain of stages (``_NewtonSolver``), each a
+way to factor the system. The first stage that factors serves, and every
+solve is refined against the unfactored matrix until its componentwise
+backward error is a few machine epsilons (Arioli, Demmel & Duff 1989). A
+solve whose refinement stalls above ``_REFINE_ACCEPT`` is redone by the next
+stage, which serves the rest of the iteration; this happens near
+convergence, where D spans twenty orders of magnitude. The chain ends with
+two stages on the assembled matrix: SuperLU on its diagonal, in symmetric
+mode under a minimum-degree order of A + A' (about ten times less fill than
+a partially pivoted LU), then a partially pivoted LU. A caller that knows its
+problem's structure heads the chain with its own stage through the private
+``_first_stage`` keyword, as ``hottopixx`` does for Model H.
+``LpResult.fallbacks`` counts the iterations served by a stage after the
+first. The solver is deterministic.
 
 ``write_lp_text`` exports a problem in the plain-text LP file format, so an
 external solver can check it.
@@ -34,6 +33,7 @@ external solver can check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +47,7 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 _EPS = float(np.finfo(np.float64).eps)
 # Refinement stops at this componentwise backward error ...
 _REFINE_TARGET = 4.0 * _EPS
-# ... and a solve that stalls above this one is redone on a pivoted LU.
+# ... and a solve that stalls above this one is redone by the next stage.
 _REFINE_ACCEPT = 4096.0 * _EPS
 _SYMMETRIC_LU = dict(
     permc_spec="MMD_AT_PLUS_A",
@@ -83,17 +83,13 @@ class LpResult:
     status: str
     iterations: int
     gap: float
-    # Iterations in which the first-choice Newton solve stalled or could not
-    # be factored, and a fallback SuperLU factorization took over.
+    # Iterations in which the first Newton-solve stage stalled or could not
+    # factor, and a later stage took over.
     fallbacks: int = 0
 
 
-def _assembled_kkt(a, at, d_inv, reg: float) -> "_KktSolver":
-    return _KktSolver(_kkt_matrix(a, at, d_inv, reg))
-
-
 def solve_lp_ipm(
-    prob: LpProblem, tol: float = 1e-10, max_iter: int = 200, *, _kkt_solver=_assembled_kkt
+    prob: LpProblem, tol: float = 1e-10, max_iter: int = 200, *, _first_stage=None
 ) -> LpResult:
     """Mehrotra predictor-corrector interior-point solve.
 
@@ -101,10 +97,9 @@ def solve_lp_ipm(
     gap all drop below ``tol``. Raises NumericalBreakdown on non-finite
     iterates or an unfactorable Newton system.
 
-    ``_kkt_solver(a, at, d_inv, reg)`` builds each iteration's Newton solver
-    (an object with ``solve(rhs)`` and ``fell_back``); it raises RuntimeError
-    when the system cannot be factored at that ``reg``. ``hottopixx`` passes
-    one that exploits Model H's block structure.
+    ``_first_stage(a, at, d_inv, reg)``, when given, heads each iteration's
+    chain of Newton-solve stages (``_NewtonSolver``), before the assembled
+    KKT. ``hottopixx`` passes one that exploits Model H's block structure.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
@@ -156,8 +151,10 @@ def solve_lp_ipm(
         solver = None
         reg = 1e-12
         while solver is None:
+            system = (A, AT, d_inv, reg)
+            first = [partial(_first_stage, *system)] if _first_stage else []
             try:
-                solver = _kkt_solver(A, AT, d_inv, reg)
+                solver = _NewtonSolver(first + _kkt_stages(partial(_kkt_matrix, *system)))
             except RuntimeError:
                 reg *= 1e4
                 if reg > 1e-2:
@@ -234,47 +231,72 @@ def _kkt_matrix(a, at, d_inv, reg: float) -> sp.csc_matrix:
     )
 
 
-class _KktSolver:
-    """Refined solves with one KKT matrix, factored on its diagonal if possible.
+def _kkt_stages(build_kkt) -> list:
+    """The chain's last two stages: the assembled KKT factored on its
+    diagonal (``_SYMMETRIC_LU``), then by a partially pivoted LU.
 
-    The constructor raises RuntimeError when the pivoted LU is singular too.
+    ``build_kkt()`` returns the matrix; it runs at most once, on first use.
     """
 
-    def __init__(self, kkt: sp.csc_matrix):
-        self.kkt = kkt
-        self.abs_kkt = abs(kkt)
-        try:
-            self.lu = splu(kkt, **_SYMMETRIC_LU)
-            self.pivoted = False
-        except RuntimeError:  # no nonzero pivot left in some column
-            self.lu = splu(kkt)
-            self.pivoted = True
+    @cache
+    def built():
+        kkt = build_kkt()
+        return kkt, abs(kkt)
 
-    @property
-    def fell_back(self) -> bool:
-        """True once the pivoted LU has taken over from the diagonal one."""
-        return self.pivoted
+    def factor(options):
+        kkt, abs_kkt = built()
+        return splu(kkt, **options).solve, partial(_kkt_residual, kkt, abs_kkt)
+
+    return [partial(factor, _SYMMETRIC_LU), partial(factor, {})]
+
+
+def _kkt_residual(kkt, abs_kkt, x, rhs):
+    r = rhs - kkt @ x
+    return r, _backward_error(r, abs_kkt @ np.abs(x) + np.abs(rhs))
+
+
+class _NewtonSolver:
+    """One iteration's Newton solves, served by a chain of stages.
+
+    A stage is a callable returning a ``(solve, residual)`` pair:
+    ``solve(rhs)`` applies a factorization, and ``residual(x, rhs)`` returns
+    the residual against the unfactored system and its componentwise backward
+    error. A stage raises RuntimeError or numpy's LinAlgError when it cannot
+    factor. The first stage that factors serves; the constructor raises
+    RuntimeError when none does. Every solve is refined. One whose backward
+    error stays above ``_REFINE_ACCEPT`` is redone by the next stage that
+    factors, which serves the rest of the iteration, and the answer with the
+    smaller error is kept (the earlier one on a tie). ``fell_back`` is True
+    once a stage after the first serves.
+    """
+
+    def __init__(self, stages):
+        self._stages = enumerate(stages)
+        self._serving = self._next_stage()
+        if self._serving is None:
+            raise RuntimeError("no stage can factor the Newton system")
+
+    def _next_stage(self):
+        for index, stage in self._stages:
+            try:
+                pair = stage()
+            except (RuntimeError, np.linalg.LinAlgError):
+                continue
+            self.fell_back = index > 0
+            return pair
+        return None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.refined_solve(rhs)[0]
-
-    def refined_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """The solution and its componentwise backward error."""
-        x, omega = _refine(self.lu.solve, self._residual, rhs)
-        if omega > _REFINE_ACCEPT and not self.pivoted:
-            try:
-                self.lu = splu(self.kkt)
-            except RuntimeError:
-                return x, omega
-            self.pivoted = True
-            x_piv, omega_piv = _refine(self.lu.solve, self._residual, rhs)
-            if omega_piv < omega:
-                x, omega = x_piv, omega_piv
-        return x, omega
-
-    def _residual(self, x, rhs):
-        r = rhs - self.kkt @ x
-        return r, _backward_error(r, self.abs_kkt @ np.abs(x) + np.abs(rhs))
+        x, omega = _refine(*self._serving, rhs)
+        while omega > _REFINE_ACCEPT:
+            pair = self._next_stage()
+            if pair is None:
+                break
+            self._serving = pair
+            x_next, omega_next = _refine(*pair, rhs)
+            if omega_next < omega:
+                x, omega = x_next, omega_next
+        return x
 
 
 def _refine(solve, residual, rhs):

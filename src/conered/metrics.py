@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assignment import min_cost_matching, solve_assignment
-from .core import IndexSet, as_values, mrsa
+from .core import IndexSet, as_values, mrsa, mrsa_cost
 from .errors import (
     DimensionMismatch,
     KSmallerThanR,
@@ -154,10 +154,7 @@ def mrsa_score(w_ref, w_est) -> MrsaScore:
     if ref.shape != est.shape:
         raise DimensionMismatch(f"shapes differ: {ref.shape} vs {est.shape}")
     r = ref.shape[1]
-    cost = np.empty((r, r))
-    for i in range(r):
-        for j in range(r):
-            cost[i, j] = mrsa(ref[:, i], est[:, j])
+    cost = mrsa_cost(ref, est)
     sigma = solve_assignment(cost)
     per = MRSA_SCALE * cost[sigma, np.arange(r)]
     return MrsaScore(score=float(per.mean()), per_col=per, sigma=sigma)

@@ -18,9 +18,10 @@ bound times 16 * eps (machine epsilon). Rescaling B or y rescales the test
 with them, so small-norm data is solved as exactly as unit-norm data. The
 same two norms detect a NaN or an infinity in either argument, which raises
 NonFiniteInput instead of reaching LAPACK. When finite entries are so large
-(above about 1e154) that the bound overflows, B and y are divided by powers
-of two before the loop and x is scaled back, which is exact; data that does
-not overflow takes no extra step.
+(above about 1e154) that the bound overflows, or so small (below about
+1e-154) that it underflows to 0, B and y are scaled by powers of two before
+the loop and x is scaled back, which is exact; other data takes no extra
+step, and a zero B or y returns x = 0 at once.
 
 Lawson and Hanson's step-6 guard is kept: when the first solve after a
 column enters gives that column a coefficient <= 0 (roundoff, on a gradient
@@ -97,8 +98,9 @@ def nnls_solve(b_mat, y) -> NnlsResult:
     >= -16 * eps * ||B||_F * ||y||_2. ``iterations`` counts least-squares
     subproblem solves; more than 10 * (number of columns) raise MaxIterations.
     A NaN or infinite entry in ``b_mat`` or ``y`` raises NonFiniteInput.
-    Finite data whose norms overflow in that bound is solved scaled by exact
-    powers of two; an x beyond the float64 range raises NumericalBreakdown.
+    Finite data whose norms overflow or underflow in that bound is solved
+    scaled by exact powers of two; an x beyond the float64 range raises
+    NumericalBreakdown.
     """
     B = np.asarray(b_mat, dtype=np.float64)
     if B.ndim != 2:
@@ -120,10 +122,13 @@ def nnls_solve(b_mat, y) -> NnlsResult:
     if not (np.isfinite(norm_b) and np.isfinite(norm_y)):
         _raise_if_non_finite(B, yv)
     tol = 16.0 * _EPS * norm_b * norm_y
-    if not math.isfinite(tol):
-        # Finite entries above about 1e154 overflow a norm or the product.
-        # Solve for B / 2^eb and y / 2^ey, whose largest entries lie in
-        # [1/2, 1), then scale x back by 2^(ey - eb); powers of two are exact.
+    if not 0.0 < tol < math.inf:
+        if not (B.any() and yv.any()):
+            return NnlsResult(x=x, residual_norm=float(np.linalg.norm(yv)), iterations=0)
+        # Finite entries above about 1e154 overflow a norm or the product,
+        # and entries below about 1e-154 underflow it to 0. Solve for
+        # B / 2^eb and y / 2^ey, whose largest entries lie in [1/2, 1), then
+        # scale x back by 2^(ey - eb); powers of two are exact.
         eb = int(np.frexp(np.abs(B).max())[1])
         ey = int(np.frexp(np.abs(yv).max())[1])
         res = nnls_solve(np.ldexp(B, -eb), np.ldexp(yv, -ey))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_assignment
-from .core import as_values, mrsa
+from .core import as_values, mrsa_cost
 from .dimred import reduce_dimension
 from .errors import (
     BadParameter,
@@ -82,20 +82,11 @@ class EndmemberEstimate:
     selected_indices: tuple[np.ndarray, ...]
 
 
-def _mrsa_cost(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    r = c.shape[1]
-    cost = np.empty((r, w.shape[1]))
-    for i in range(r):
-        for k in range(w.shape[1]):
-            cost[i, k] = mrsa(c[:, i], w[:, k])
-    return cost
-
-
 def align_columns(c, w) -> np.ndarray:
     """Permute the columns of ``w`` to best match ``c`` under total MRSA."""
     cm = as_values(c)
     wm = as_values(w)
-    sigma = solve_assignment(_mrsa_cost(cm, wm))
+    sigma = solve_assignment(mrsa_cost(cm, wm))
     out = np.empty_like(wm)
     out[:, sigma] = wm
     return out
@@ -151,7 +142,7 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
 
         if reps:
             center = np.mean(reps, axis=0)
-            sigma = solve_assignment(_mrsa_cost(center, w_j))
+            sigma = solve_assignment(mrsa_cost(center, w_j))
             aligned = np.empty_like(w_j)
             aligned[:, sigma] = w_j
             order = np.empty_like(orig)

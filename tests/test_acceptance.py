@@ -33,10 +33,10 @@ from conered import (
 )
 from conered.assignment import solve_assignment
 from conered.cli import main
+from conered.core import mrsa_cost
 from conered.dimred import reduce_dimension
 from conered.hottopixx import audit_model_h, build_model_h
 from conered.metrics import abundance_maxima
-from conered.redic import _mrsa_cost
 
 from oracles import assignment_enumerate, nnls_enumerate, rho_grid, simplex_model_h
 
@@ -300,7 +300,7 @@ def test_criterion_9_alignment_and_assignment_optimality():
         c = rng.random((5, r)) + 0.01
         w = rng.random((5, r)) + 0.01
         aligned = align_columns(c, w)
-        sigma, _ = assignment_enumerate(_mrsa_cost(c, w))
+        sigma, _ = assignment_enumerate(mrsa_cost(c, w))
         manual = np.empty_like(w)
         manual[:, sigma] = w
         trials += 1

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,8 +19,8 @@ from conered import (
     solve_model_h,
 )
 from conered.errors import BadRank, DegenerateDiagonal
-from conered.hottopixx import _ModelHKkt, audit_model_h, write_model_lp
-from conered.lp import _kkt_matrix, solve_lp_ipm
+from conered.hottopixx import _block_stage, _ModelHKkt, audit_model_h, write_model_lp
+from conered.lp import _kkt_matrix, _kkt_stages, _NewtonSolver, solve_lp_ipm
 
 from oracles import model_h_lp_loop, simplex_model_h
 
@@ -191,6 +193,11 @@ def _kkt_parts(a, d, reg=1e-12):
     return a_eq, at, _kkt_matrix(a_eq, at, d, reg)
 
 
+def _model_h_chain(a, a_eq, at, d, kkt, reg=1e-12):
+    # the chain solve_model_h gives solve_lp_ipm: the block solve, then the KKT
+    return _NewtonSolver([partial(_block_stage, a, a_eq, at, d, reg)] + _kkt_stages(lambda: kkt))
+
+
 def test_block_solve_matches_dense_solve_over_twenty_decades():
     # the instance of lp's refined-solve test: theta spans 1e-10 ... 1e10
     rng = np.random.default_rng(83)
@@ -199,10 +206,10 @@ def test_block_solve_matches_dense_solve_over_twenty_decades():
     d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
     a_eq, at, kkt = _kkt_parts(a, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _ModelHKkt(a, a_eq, at, d, 1e-12)
+    solver = _model_h_chain(a, a_eq, at, d, kkt)
     x = solver.solve(b)
     assert not solver.fell_back
-    assert solver._residual(x, b)[1] <= 1e-13
+    assert _ModelHKkt(a, a_eq, at, d, 1e-12)._residual(x, b)[1] <= 1e-13
     r = b - kkt @ x
     knorm = abs(kkt).sum(axis=1).max()
     assert np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max()) <= 1e-13
@@ -221,7 +228,9 @@ def test_block_solve_without_a_factor_uses_the_assembled_kkt():
     d[54:72] = -1.0
     a_eq, at, kkt = _kkt_parts(a, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _ModelHKkt(a, a_eq, at, d, 1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        _ModelHKkt(a, a_eq, at, d, 1e-12)
+    solver = _model_h_chain(a, a_eq, at, d, kkt)
     assert solver.fell_back
     x = solver.solve(b)
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-10, atol=1e-12)

@@ -9,8 +9,10 @@ from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
     STATUS_OPTIMAL,
     LpProblem,
-    _KktSolver,
     _kkt_matrix,
+    _kkt_residual,
+    _kkt_stages,
+    _NewtonSolver,
     solve_lp_ipm,
     write_lp_text,
 )
@@ -167,10 +169,10 @@ def test_refined_symmetric_solve_matches_dense_solve():
     d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
     kkt = _kkt(prob.a_eq, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _KktSolver(kkt)
+    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
     x = solver.solve(b)
-    assert not solver.pivoted
-    omega = solver._residual(x, b)[1]
+    assert not solver.fell_back
+    omega = _kkt_residual(kkt, abs(kkt), x, b)[1]
     assert omega <= 1e-13
     dense = np.linalg.solve(kkt.toarray(), b)
     assert _normwise_residual(kkt, x, b) <= 1e-13
@@ -183,9 +185,9 @@ def test_kkt_with_vanishing_diagonal_is_solved(d0):
     # one is taken and its reciprocal overflows, so the solve must fall back
     kkt = _kkt(sp.csr_matrix([[1.0, 1.0]]), np.array([d0, 1.0]), reg=0.0)
     b = np.array([1.0, 2.0, 3.0])
-    solver = _KktSolver(kkt)
+    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
     x = solver.solve(b)
-    assert solver.pivoted == (d0 > 0.0)
+    assert solver.fell_back == (d0 > 0.0)
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
 
@@ -194,7 +196,61 @@ def test_singular_diagonal_factorization_uses_pivoted_lu():
     # (and the matrix, with determinant -2e40) is not
     kkt = sp.csc_matrix(np.array([[2.0, 2.0, 1e20], [2.0, 2.0, 0.0], [1e20, 0.0, 1e-300]]))
     b = np.array([1.0, 2.0, 3.0])
-    solver = _KktSolver(kkt)
-    assert solver.pivoted
+    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
+    assert solver.fell_back
     x = solver.solve(b)
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
+
+
+def _fake_stage(value, omega, log):
+    # a stage whose solve returns `value` everywhere at backward error `omega`
+    def factor():
+        log.append(("factor", value))
+
+        def solve(rhs):
+            log.append(("solve", value))
+            return np.full(rhs.shape, value)
+
+        return solve, lambda x, rhs: (np.zeros_like(rhs), omega)
+
+    return factor
+
+
+def _failing_stage(log):
+    def factor():
+        log.append(("factor", None))
+        raise RuntimeError("matrix is exactly singular")
+
+    return factor
+
+
+def test_chain_without_a_stage_that_factors_raises():
+    log = []
+    with pytest.raises(RuntimeError):
+        _NewtonSolver([_failing_stage(log), _failing_stage(log)])
+    assert log == [("factor", None)] * 2
+
+
+def test_chain_keeps_its_stage_when_the_next_cannot_factor():
+    log = []
+    solver = _NewtonSolver([_fake_stage(1.0, 1e-6, log), _failing_stage(log)])
+    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
+    assert not solver.fell_back
+    assert log[-1] == ("factor", None)
+    del log[:]
+    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
+    assert not solver.fell_back
+    assert log and set(log) == {("solve", 1.0)}
+
+
+@pytest.mark.parametrize("later_omega", [1e-6, 1e-8])
+def test_chain_keeps_the_better_answer_but_moves_to_the_next_stage(later_omega):
+    # both stages stall above _REFINE_ACCEPT; the later one is worse or tied
+    log = []
+    solver = _NewtonSolver([_fake_stage(1.0, 1e-8, log), _fake_stage(2.0, later_omega, log)])
+    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
+    assert solver.fell_back
+    assert ("solve", 2.0) in log
+    del log[:]
+    assert solver.solve(np.zeros(2)).tolist() == [2.0, 2.0]
+    assert log and set(log) == {("solve", 2.0)}

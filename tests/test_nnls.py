@@ -287,6 +287,31 @@ def test_overflowing_scale_gives_the_scaled_solution(eb, ey):
     assert res.iterations == ref.iterations
 
 
+@pytest.mark.parametrize("e", [-700, -1000])
+def test_underflowing_scale_gives_the_unscaled_solution(e):
+    # ||B||_F * ||y||_2 underflows to 0: the loop used to stop at once with
+    # x = 0 and residual 0, so every target read as a cone member
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        b = rng.standard_normal((5, 8))
+        y = rng.standard_normal(5)
+        ref = nnls_solve(b, y)
+        res = nnls_solve(np.ldexp(b, e), np.ldexp(y, e))
+        assert np.array_equal(res.x, ref.x)
+        assert res.iterations == ref.iterations
+        assert res.residual_norm > 0.0 or ref.residual_norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "b, y, residual", [(np.zeros((2, 2)), [3.0, 4.0], 5.0), (1e-300 * np.eye(2), [0.0, 0.0], 0.0)]
+)
+def test_zero_dictionary_or_target_returns_zero(b, y, residual):
+    res = nnls_solve(b, y)
+    assert res.x.tolist() == [0.0, 0.0]
+    assert res.residual_norm == residual
+    assert res.iterations == 0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_solution_beyond_float64_raises():
     with pytest.raises(NumericalBreakdown):

@@ -13,13 +13,13 @@ from conered import (
     random_separable,
     redic,
 )
+from conered.core import mrsa_cost
 from conered.errors import (
     ConfigError,
     InsufficientColumns,
     NumericalBreakdown,
     RankTooLarge,
 )
-from conered.redic import _mrsa_cost
 
 from oracles import assignment_enumerate
 
@@ -123,7 +123,7 @@ def test_align_matches_enumeration():
         c = rng.random((6, 4))
         w = rng.random((6, 4))
         aligned = align_columns(c, w)
-        cost = _mrsa_cost(c, w)
+        cost = mrsa_cost(c, w)
         sigma, _ = assignment_enumerate(cost)
         manual = np.empty_like(w)
         manual[:, sigma] = w
