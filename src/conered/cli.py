@@ -19,10 +19,10 @@ import time
 
 import numpy as np
 
-from .core import FORMAT_CSV, FORMAT_HSM1, load_matrix, store_matrix
+from .core import FORMAT_CSV, FORMAT_HSM1, l1_cost, load_matrix, store_matrix
 from .errors import ConfigError, InputFormatError, NumericalError
 from .hottopixx import write_model_lp
-from .metrics import mrsa_score, reconstruction_error, rho
+from .metrics import _assigned_score, mrsa_score, reconstruction_error, rho
 from .redic import RedicConfig, redic
 from .reduction import drs
 from .synth import assemble, random_separable, write_sidecar
@@ -155,23 +155,13 @@ def cmd_eval(args) -> int:
     ref = load_matrix(args.reference, args.format)
     if args.metric == "mrsa":
         result = mrsa_score(ref, est)
-        per = result.per_col
-        sigma = result.sigma
-        score = result.score
+        sigma, per, score = result.sigma, result.per_col, result.score
     else:
-        r = ref.n
         if est.values.shape != ref.values.shape:
             raise InputFormatError(
                 f"shapes differ: {est.values.shape} vs {ref.values.shape}"
             )
-        cost = np.abs(
-            ref.values[:, :, None] - est.values[:, None, :]
-        ).sum(axis=0)
-        from .assignment import solve_assignment
-
-        sigma = solve_assignment(cost)
-        per = cost[sigma, np.arange(r)]
-        score = float(per.mean())
+        sigma, per, score = _assigned_score(l1_cost(ref.values, est.values), 1.0)
     print(f"metric={args.metric}")
     print(f"score={score:.2f}")
     print("per_col=" + ",".join(f"{v:.4f}" for v in per))
@@ -223,8 +213,11 @@ def _usage_problem(args) -> str | None:
         return "--lambda must be nonnegative"
     if not 0.0 < getattr(args, "eps_feas", 1.0) < np.inf:
         return "--eps-feas must be a positive finite number"
-    if getattr(args, "nu", 0.0) < 0:
-        return "--nu must be nonnegative"
+    if getattr(args, "seed", 0) < 0:
+        return "--seed must be nonnegative"
+    for flag in ("nu", "noise_norm"):
+        if not 0.0 <= getattr(args, flag, 0.0) < np.inf:
+            return f"--{flag.replace('_', '-')} must be a nonnegative finite number"
     if args.command == "synth" and (args.d < 1 or args.n < 1):
         return "--d and --n must be at least 1"
     return None

@@ -136,71 +136,76 @@ def l1_normalize_columns(a):
     return HsiMatrix(out) if wrap else out
 
 
-def mrsa(a, b, norm_tol: float = 1e-12) -> float:
-    """Mean-removed spectral angle between two vectors, scaled to [0, 1].
+# A mean-removed column with a smaller L2 norm has no direction (DegenerateVector).
+_MRSA_NORM_TOL = 1e-12
 
-    Both vectors have their mean subtracted; the angle between the residuals
-    is returned as a fraction of pi. Computed via the arcsin half-chord form,
-    which is exact at 0 for identical inputs and exact at 1 for antipodal
-    ones. Raises DegenerateVector when a mean-removed vector has L2 norm
-    below ``norm_tol``.
+
+def mrsa(a, b) -> float:
+    """Mean-removed spectral angle between two vectors: the 1 x 1 :func:`mrsa_cost`."""
+    return float(mrsa_cost(np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)))[0, 0])
+
+
+def mrsa_cost(c, w) -> np.ndarray:
+    """cost[i, k] = mean-removed spectral angle between c[:, i] and w[:, k].
+
+    Columns are mean-centred and scaled to unit L2 norm once. The angle
+    between unit vectors u and v is 2 atan2(||u - v||, ||u + v||), Kahan's
+    cancellation-free form, returned as a fraction of pi: exactly 0 for
+    identical columns and 1 for antipodal ones. A column whose mean-removed
+    L2 norm is below 1e-12 raises DegenerateVector.
     """
-    u = np.asarray(a, dtype=np.float64).reshape(-1)
-    v = np.asarray(b, dtype=np.float64).reshape(-1)
-    if u.size != v.size:
-        raise DimensionMismatch(f"vector lengths differ: {u.size} vs {v.size}")
-    if u.size < 2:
-        raise DimensionMismatch("mrsa needs vectors of length >= 2")
-    u = u - u.mean()
-    v = v - v.mean()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < norm_tol or nv < norm_tol:
-        raise DegenerateVector(
-            f"mean-removed norm below {norm_tol:g} (got {min(nu, nv):g})"
-        )
-    u = u / nu
-    v = v / nv
-    if float(u @ v) >= 0.0:
-        half = min(1.0, 0.5 * float(np.linalg.norm(u - v)))
-        theta = 2.0 * math.asin(half)
-    else:
-        half = min(1.0, 0.5 * float(np.linalg.norm(u + v)))
-        theta = math.pi - 2.0 * math.asin(half)
-    return theta / math.pi
-
-
-def mrsa_cost(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """cost[i, k] = mrsa(c[:, i], w[:, k]) for 2-d arrays, pair by pair."""
-    cost = np.empty((c.shape[1], w.shape[1]))
-    for i in range(c.shape[1]):
-        for k in range(w.shape[1]):
-            cost[i, k] = mrsa(c[:, i], w[:, k])
-    return cost
-
-
-def mrsa_pairwise(p, q, norm_tol: float = 1e-12) -> np.ndarray:
-    """All-pairs MRSA between the columns of two matrices.
-
-    Returns a (p-columns x q-columns) array. Uses the arccos form, which is
-    a few ulp less accurate near 0 than :func:`mrsa` but vectorizes; callers
-    use it for nearest-column matching only.
-    """
-    pm = as_values(p)
-    qm = as_values(q)
-    if pm.shape[0] != qm.shape[0]:
+    cm = as_values(c)
+    wm = as_values(w)
+    if not cm.shape[0] == wm.shape[0] >= 2:
         raise DimensionMismatch(
-            f"row counts differ: {pm.shape[0]} vs {qm.shape[0]}"
+            f"mrsa needs vectors of one length >= 2, got {cm.shape[0]} and {wm.shape[0]}"
         )
-    pc = pm - pm.mean(axis=0, keepdims=True)
-    qc = qm - qm.mean(axis=0, keepdims=True)
-    pn = np.linalg.norm(pc, axis=0)
-    qn = np.linalg.norm(qc, axis=0)
-    if np.any(pn < norm_tol) or np.any(qn < norm_tol):
-        raise DegenerateVector("a column is constant after mean removal")
-    cos = (pc / pn).T @ (qc / qn)
-    np.clip(cos, -1.0, 1.0, out=cos)
-    return np.arccos(cos) / math.pi
+
+    def angles(rows, x):
+        chord = np.linalg.norm(rows - x, axis=1)
+        return 2.0 * np.arctan2(chord, np.linalg.norm(rows + x, axis=1)) / math.pi
+
+    return _column_pairs(_unit_rows(cm), _unit_rows(wm), angles)
+
+
+def l1_cost(c, w) -> np.ndarray:
+    """cost[i, k] = ||c[:, i] - w[:, k]||_1."""
+    return _column_pairs(
+        as_values(c).T, as_values(w).T, lambda rows, x: np.abs(rows - x).sum(axis=1)
+    )
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """The columns of ``m`` as contiguous rows, mean-centred, unit L2 norm.
+
+    A contiguous row's mean sums in the same order as the mean of one 1-d
+    column, so centring matches a per-vector computation bit for bit.
+    """
+    x = np.array(m.T, order="C")
+    x -= x.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=1)
+    low = norms.min(initial=math.inf)
+    if low < _MRSA_NORM_TOL:
+        raise DegenerateVector(f"mean-removed norm below {_MRSA_NORM_TOL:g} (got {low:g})")
+    x /= norms[:, None]
+    return x
+
+
+def _column_pairs(c_rows: np.ndarray, w_rows: np.ndarray, dist) -> np.ndarray:
+    """out[i, k] = dist(w_rows, c_rows[i])[k], where ``dist(rows, x)`` gives
+    the distance from the vector x to every row of ``rows``.
+
+    It is called once per row of the shorter argument, so temporaries stay
+    (longer argument) x d.
+    """
+    if c_rows.shape[1] != w_rows.shape[1]:
+        raise DimensionMismatch(
+            f"vector lengths differ: {c_rows.shape[1]} vs {w_rows.shape[1]}"
+        )
+    p, k = c_rows.shape[0], w_rows.shape[0]
+    if p <= k:
+        return np.array([dist(w_rows, x) for x in c_rows]).reshape(p, k)
+    return np.array([dist(c_rows, x) for x in w_rows]).reshape(k, p).T
 
 
 def detect_format(path: str) -> str:

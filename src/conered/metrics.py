@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assignment import min_cost_matching, solve_assignment
-from .core import IndexSet, as_values, mrsa, mrsa_cost
+from .core import IndexSet, as_values, l1_cost, mrsa_cost
 from .errors import (
     DimensionMismatch,
     KSmallerThanR,
@@ -118,19 +118,13 @@ def dict_distance(a, s: IndexSet, w, metric: str = "l1") -> float:
         raise KSmallerThanR("the candidate set is empty")
     if arr.shape[0] != wm.shape[0]:
         raise DimensionMismatch("band counts differ")
-    cols = arr[:, s.indices]
-    total = 0.0
-    for j in range(wm.shape[1]):
-        if metric == "l1":
-            dists = np.abs(cols - wm[:, j : j + 1]).sum(axis=0)
-            total += float(dists.min())
-        elif metric == "mrsa":
-            total += MRSA_SCALE * min(
-                mrsa(wm[:, j], cols[:, t]) for t in range(cols.shape[1])
-            )
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-    return total / wm.shape[1]
+    if metric == "l1":
+        nearest = l1_cost(wm, arr[:, s.indices]).min(axis=1)
+    elif metric == "mrsa":
+        nearest = MRSA_SCALE * mrsa_cost(wm, arr[:, s.indices]).min(axis=1)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return float(nearest.sum()) / wm.shape[1]
 
 
 @dataclass(frozen=True)
@@ -153,11 +147,19 @@ def mrsa_score(w_ref, w_est) -> MrsaScore:
     est = as_values(w_est)
     if ref.shape != est.shape:
         raise DimensionMismatch(f"shapes differ: {ref.shape} vs {est.shape}")
-    r = ref.shape[1]
-    cost = mrsa_cost(ref, est)
+    sigma, per, score = _assigned_score(mrsa_cost(ref, est), MRSA_SCALE)
+    return MrsaScore(score=score, per_col=per, sigma=sigma)
+
+
+def _assigned_score(cost: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(sigma, per_col, score) of the best assignment on a square cost.
+
+    sigma[j] is the row paired with column j (see ``solve_assignment``),
+    per_col[j] = scale * cost[sigma[j], j] and score is their mean.
+    """
     sigma = solve_assignment(cost)
-    per = MRSA_SCALE * cost[sigma, np.arange(r)]
-    return MrsaScore(score=float(per.mean()), per_col=per, sigma=sigma)
+    per = scale * cost[sigma, np.arange(cost.shape[1])]
+    return sigma, per, float(per.mean())
 
 
 def abundance_maxima(h, k: IndexSet) -> np.ndarray:
@@ -196,8 +198,7 @@ def theorem1_check(inst: SynthInstance, nu: float, k: IndexSet) -> TheoremReport
     eps = matrix_l1_norm(a - inst.w @ inst.h)
     rho_val = rho(inst.w)
     hypothesis = bool(eps < rho_val / 9.0)
-    cols = a[:, k.indices]
-    cost = np.abs(inst.w[:, :, None] - cols[:, None, :]).sum(axis=0)
+    cost = l1_cost(inst.w, a[:, k.indices])
     row_to_col = min_cost_matching(cost)
     per_j = cost[np.arange(inst.r), row_to_col]
     chosen = k.indices[row_to_col]

@@ -21,7 +21,8 @@ NonFiniteInput instead of reaching LAPACK. When finite entries are so large
 (above about 1e154) that the bound overflows, or so small (below about
 1e-154) that it underflows to 0, B and y are scaled by powers of two before
 the loop and x is scaled back, which is exact; other data takes no extra
-step, and a zero B or y returns x = 0 at once.
+step, and an empty or zero B, or a zero y, returns x = 0 at once, with
+``math.hypot`` giving the residual ||y||_2 without underflow or overflow.
 
 Lawson and Hanson's step-6 guard is kept: when the first solve after a
 column enters gives that column a coefficient <= 0 (roundoff, on a gradient
@@ -113,7 +114,7 @@ def nnls_solve(b_mat, y) -> NnlsResult:
 
     x = np.zeros(m)
     if m == 0:
-        residual = float(np.linalg.norm(yv))
+        residual = math.hypot(*yv)
         if not np.isfinite(residual):
             _raise_if_non_finite(B, yv)
         return NnlsResult(x=x, residual_norm=residual, iterations=0)
@@ -124,7 +125,7 @@ def nnls_solve(b_mat, y) -> NnlsResult:
     tol = 16.0 * _EPS * norm_b * norm_y
     if not 0.0 < tol < math.inf:
         if not (B.any() and yv.any()):
-            return NnlsResult(x=x, residual_norm=float(np.linalg.norm(yv)), iterations=0)
+            return NnlsResult(x=x, residual_norm=math.hypot(*yv), iterations=0)
         # Finite entries above about 1e154 overflow a norm or the product,
         # and entries below about 1e-154 underflow it to 0. Solve for
         # B / 2^eb and y / 2^ey, whose largest entries lie in [1/2, 1), then

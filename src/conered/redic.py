@@ -67,6 +67,8 @@ class RedicConfig:
             raise BadParameter(f"tau must be >= 1, got {self.tau}")
         if self.p < 1:
             raise BadParameter(f"p must be >= 1, got {self.p}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.eps_feas) and self.eps_feas > 0):
             raise BadParameter(f"eps_feas must be a positive finite number, got {self.eps_feas}")
 
@@ -84,12 +86,17 @@ class EndmemberEstimate:
 
 def align_columns(c, w) -> np.ndarray:
     """Permute the columns of ``w`` to best match ``c`` under total MRSA."""
-    cm = as_values(c)
     wm = as_values(w)
-    sigma = solve_assignment(mrsa_cost(cm, wm))
-    out = np.empty_like(wm)
-    out[:, sigma] = wm
-    return out
+    return wm[:, np.argsort(_alignment(as_values(c), wm))]
+
+
+def _alignment(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sigma pairing w[:, k] with c[:, sigma[k]] at the least total MRSA.
+
+    Its inverse, ``np.argsort(sigma)``, is the column order of ``w`` that
+    puts the match of c[:, i] in position i.
+    """
+    return solve_assignment(mrsa_cost(c, w))
 
 
 def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
@@ -138,20 +145,10 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
             )
         local = postprocess_method_c(ap[:, sub], sol, cfg.r)
         orig = sub[local.indices]
-        w_j = arr[:, orig].copy()
-
         if reps:
-            center = np.mean(reps, axis=0)
-            sigma = solve_assignment(mrsa_cost(center, w_j))
-            aligned = np.empty_like(w_j)
-            aligned[:, sigma] = w_j
-            order = np.empty_like(orig)
-            order[sigma] = orig
-            reps.append(aligned)
-            sels.append(order)
-        else:
-            reps.append(w_j)
-            sels.append(orig)
+            orig = orig[np.argsort(_alignment(np.mean(reps, axis=0), arr[:, orig]))]
+        reps.append(arr[:, orig])
+        sels.append(orig)
 
     w_hat = reps[0] if cfg.tau == 1 else np.mean(reps, axis=0)
     return EndmemberEstimate(

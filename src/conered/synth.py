@@ -15,11 +15,12 @@ V = A - W H is exactly the model mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HsiMatrix, IndexSet, as_values, l1_normalize_columns, mrsa_pairwise
+from .core import HsiMatrix, IndexSet, as_values, l1_normalize_columns, mrsa_cost
 from .errors import (
     BadParameter,
     BadRank,
@@ -89,8 +90,8 @@ def matrix_l1_norm(v) -> float:
 
 def assemble(inst: SynthInstance, nu: float) -> HsiMatrix:
     """A = W H + (nu / ||V||_1) V, so the noise term has induced norm nu."""
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise BadParameter(f"nu must be a nonnegative finite number, got {nu}")
     clean = inst.w @ inst.h
     if nu == 0:
         return HsiMatrix(clean)
@@ -116,8 +117,8 @@ def random_separable(
     """
     if not (1 <= r <= min(d, n)):
         raise BadRank(f"need 1 <= r <= min(d, n), got r={r}, d={d}, n={n}")
-    if noise_norm < 0:
-        raise BadParameter("noise_norm must be nonnegative")
+    if not 0.0 <= noise_norm < math.inf:
+        raise BadParameter(f"noise_norm must be a nonnegative finite number, got {noise_norm}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.0, 1.0, size=(d, r))
     w /= w.sum(axis=0)
@@ -199,8 +200,7 @@ def derive_whv(a_real, w_ident, tol: float = 1e-8) -> SynthInstance:
     if w_ref.shape[0] != a.shape[0]:
         raise DimensionMismatch("endmember rows must match the image band count")
     r = w_ref.shape[1]
-    angles = mrsa_pairwise(w_ref, a)
-    matched = np.argmin(angles, axis=1).astype(np.int64)
+    matched = np.argmin(mrsa_cost(w_ref, a), axis=1).astype(np.int64)
     if np.unique(matched).size != r:
         raise DuplicateMatch(
             f"distinct endmembers matched the same column: {matched.tolist()}"

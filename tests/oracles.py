@@ -8,12 +8,18 @@ src/ may import from this module.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lstsq as _lstsq
 
-from conered.errors import DimensionMismatch, MaxIterations, NumericalBreakdown
+from conered.errors import (
+    DegenerateVector,
+    DimensionMismatch,
+    MaxIterations,
+    NumericalBreakdown,
+)
 from conered.hottopixx import LpSolution, ModelH, model_h_lp
 from conered.lp import STATUS_OPTIMAL, LpProblem, LpResult
 from conered.nnls import NnlsResult
@@ -281,6 +287,43 @@ def mrsa_naive(a: np.ndarray, b: np.ndarray) -> float:
     bc = b - b.mean()
     cosang = float(ac @ bc / (np.linalg.norm(ac) * np.linalg.norm(bc)))
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)) / np.pi)
+
+
+def mrsa_scalar_reference(a, b, norm_tol: float = 1e-12) -> float:
+    """The one-pair MRSA as it was before ``core.mrsa_cost`` vectorized it,
+    kept verbatim so tests can hold the kernel to it pair by pair.
+
+    Mean-removed spectral angle between two vectors, scaled to [0, 1].
+
+    Both vectors have their mean subtracted; the angle between the residuals
+    is returned as a fraction of pi. Computed via the arcsin half-chord form,
+    which is exact at 0 for identical inputs and exact at 1 for antipodal
+    ones. Raises DegenerateVector when a mean-removed vector has L2 norm
+    below ``norm_tol``.
+    """
+    u = np.asarray(a, dtype=np.float64).reshape(-1)
+    v = np.asarray(b, dtype=np.float64).reshape(-1)
+    if u.size != v.size:
+        raise DimensionMismatch(f"vector lengths differ: {u.size} vs {v.size}")
+    if u.size < 2:
+        raise DimensionMismatch("mrsa needs vectors of length >= 2")
+    u = u - u.mean()
+    v = v - v.mean()
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu < norm_tol or nv < norm_tol:
+        raise DegenerateVector(
+            f"mean-removed norm below {norm_tol:g} (got {min(nu, nv):g})"
+        )
+    u = u / nu
+    v = v / nv
+    if float(u @ v) >= 0.0:
+        half = min(1.0, 0.5 * float(np.linalg.norm(u - v)))
+        theta = 2.0 * math.asin(half)
+    else:
+        half = min(1.0, 0.5 * float(np.linalg.norm(u + v)))
+        theta = math.pi - 2.0 * math.asin(half)
+    return theta / math.pi
 
 
 def kmeans_inertia(x: np.ndarray, labels: np.ndarray) -> float:

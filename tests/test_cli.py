@@ -125,6 +125,33 @@ def test_bad_eps_feas_is_usage_error(tmp_path, capsys, command, eps):
     assert "--eps-feas" in err
 
 
+@pytest.mark.parametrize("flag", ["--nu", "--noise-norm"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_noise_argument_is_usage_error(tmp_path, capsys, flag, value):
+    code, _, err = run(
+        capsys, "synth", "--d", "5", "--n", "10", "--r", "2",
+        flag, value, "--out", str(tmp_path / "a.hsm1"),
+    )
+    assert code == 2
+    assert flag in err
+    assert not (tmp_path / "a.hsm1").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["reduce", "a.hsm1"],
+        ["extract", "a.hsm1", "--r", "3"],
+        ["synth", "--d", "5", "--n", "10", "--r", "2"],
+    ],
+    ids=["reduce", "extract", "synth"],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    code, _, err = run(capsys, *command, "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "--seed" in err
+
+
 def test_infeasible_rank_is_config_error(tmp_path, capsys):
     a_path, _ = _synth_files(tmp_path, capsys)
     code, _, err = run(

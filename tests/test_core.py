@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conered import HsiMatrix, IndexSet, detect_format, l1_normalize_columns, load_matrix, mrsa, store_matrix
+from conered.core import l1_cost, mrsa_cost
 from conered.errors import DegenerateVector, DimensionMismatch, ParseError, ZeroColumn
 
-from oracles import mrsa_naive
+from oracles import mrsa_naive, mrsa_scalar_reference
 
 
 def test_normalize_scaling():
@@ -112,6 +113,73 @@ def test_mrsa_invariant_to_positive_scale_and_shift(a, scale, shift):
     ref = np.arange(a.size, dtype=np.float64)
     ref[0] = -1.0
     assert mrsa(scale * a + shift, ref) == pytest.approx(mrsa(a, ref), abs=1e-9)
+
+
+_entries = st.floats(-100, 100, allow_nan=False)
+
+
+@st.composite
+def _column_sets(draw):
+    """Two column sets on shared rows. Some columns of w are s * c_i + t for a
+    column c_i of c (MRSA 0 or 1 up to rounding); about one in six is
+    constant (DegenerateVector)."""
+    d = draw(st.integers(2, 40))
+    c = draw(arrays(np.float64, (d, draw(st.integers(1, 4))), elements=_entries, fill=st.nothing()))
+    w = draw(arrays(np.float64, (d, draw(st.integers(1, 6))), elements=_entries, fill=st.nothing()))
+    for k in range(w.shape[1]):
+        kind = draw(st.sampled_from(["drawn", "affine", "affine", "drawn", "affine", "constant"]))
+        if kind == "affine":
+            i = draw(st.integers(0, c.shape[1] - 1))
+            scale = draw(st.floats(0.1, 50.0) | st.floats(-50.0, -0.1))
+            w[:, k] = scale * c[:, i] + draw(st.floats(-20.0, 20.0))
+        elif kind == "constant":
+            w[:, k] = draw(_entries)
+    return c, w
+
+
+@given(_column_sets())
+@settings(max_examples=300, deadline=None)
+def test_mrsa_cost_matches_the_scalar_referee_pair_by_pair(sets):
+    c, w = sets
+    try:
+        ref = np.array(
+            [[mrsa_scalar_reference(c[:, i], w[:, k]) for k in range(w.shape[1])]
+             for i in range(c.shape[1])]
+        )
+    except DegenerateVector:
+        with pytest.raises(DegenerateVector):
+            mrsa_cost(c, w)
+        return
+    got = mrsa_cost(c, w)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15
+    # looping over the other argument's columns gives the same bytes
+    assert np.array_equal(mrsa_cost(w, c), got.T)
+
+
+def test_mrsa_cost_is_exact_for_identical_and_antipodal_columns():
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=(30, 7))
+    assert np.array_equal(np.diag(mrsa_cost(c, c)), np.zeros(7))
+    assert np.array_equal(np.diag(mrsa_cost(c, -c)), np.ones(7))
+
+
+def test_mrsa_cost_rejects_row_mismatch_and_single_rows():
+    with pytest.raises(DimensionMismatch):
+        mrsa_cost(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        mrsa_cost(np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(DimensionMismatch):
+        l1_cost(np.ones((3, 2)), np.ones((4, 2)))
+
+
+def test_l1_cost_matches_broadcast_differences():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(9, 3))
+    w = rng.normal(size=(9, 11))
+    ref = np.abs(c[:, :, None] - w[:, None, :]).sum(axis=0)
+    assert np.array_equal(l1_cost(c, w), ref)
+    assert np.array_equal(l1_cost(w, c), ref.T)
 
 
 def test_hsm1_round_trip_is_bit_exact(tmp_path):

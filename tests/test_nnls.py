@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -313,17 +314,34 @@ def test_zero_dictionary_or_target_returns_zero(b, y, residual):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("shape", [(2, 2), (2, 0)], ids=["zero", "empty"])
+@pytest.mark.parametrize("y", [[1e-300, 0.0], [1e200, 1e200]], ids=["tiny", "huge"])
+def test_zero_or_empty_dictionary_residual_is_the_target_norm(shape, y):
+    # squaring the entries of y underflows to 0 or overflows to inf
+    res = nnls_solve(np.zeros(shape), y)
+    assert res.x.size == shape[1] and not res.x.any()
+    assert res.residual_norm == pytest.approx(math.hypot(*y), rel=1e-15, abs=0.0)
+    assert res.iterations == 0
+
+
+def test_tiny_target_is_outside_a_zero_dictionary_cone():
+    assert not cone_membership(np.zeros((2, 2)), np.array([1e-300, 0.0]), eps_feas=1e-320)[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_solution_beyond_float64_raises():
     with pytest.raises(NumericalBreakdown):
         nnls_solve(1e-200 * np.eye(2), [1e200, 1e200])
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize adds about 16 MB of peak RSS; no import path may pull it in.
+# Peak RSS each adds on import: scipy.optimize about 16.5 MB, scipy.spatial
+# 6.9 MB, scipy.sparse.csgraph 0.8 MB. No import path may pull one in.
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph"])
+def test_import_leaves_module_out(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(conered.__file__).parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, conered; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, conered; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from conered import (
 )
 from conered.core import mrsa_cost
 from conered.errors import (
+    BadParameter,
     ConfigError,
     InsufficientColumns,
     NumericalBreakdown,
@@ -165,6 +166,11 @@ def test_config_validation():
         RedicConfig(r=2, lam=-1)
     with pytest.raises(ValueError):
         RedicConfig(r=2, p=0)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(BadParameter):
+        RedicConfig(r=2, seed=-1)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])

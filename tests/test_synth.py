@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conered import HsiMatrix, assemble, derive_whv, random_separable
-from conered.errors import DuplicateMatch, ZeroNoise
+from conered import HsiMatrix, assemble, derive_whv, l1_normalize_columns, random_separable
+from conered.errors import BadParameter, DuplicateMatch, ZeroNoise
 from conered.synth import (
     SynthInstance,
     matrix_l1_norm,
@@ -50,6 +50,15 @@ def test_assembly_rejects_negative_nu():
     inst = random_separable(4, 10, 2, seed=3)
     with pytest.raises(ValueError):
         assemble(inst, -0.1)
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+def test_noise_arguments_must_be_nonnegative_and_finite(bad):
+    inst = random_separable(4, 10, 2, seed=3)
+    with pytest.raises(BadParameter):
+        assemble(inst, bad)
+    with pytest.raises(BadParameter):
+        random_separable(4, 10, 2, seed=3, noise_norm=bad)
 
 
 def test_assembly_needs_noise_direction():
@@ -131,6 +140,18 @@ def test_derive_recovers_exact_separable_input():
     assert np.array_equal(np.sort(derived.pure_indices), np.sort(inst.pure_indices))
     assert matrix_l1_norm(derived.v) <= 1e-6
     assert np.allclose(derived.w @ derived.h, a_real.values, atol=1e-6)
+
+
+def test_derive_matches_the_exact_column_after_a_near_duplicate():
+    # Column 5 is 1e-11 from the reference and column 6 equals it. Their
+    # cosines with it both round to 1, so an angle taken as the arccos of
+    # the cosine reads 0 for both and cannot tell them apart.
+    rng = np.random.default_rng(0)
+    a_real = rng.uniform(0.1, 1.0, size=(20, 40))
+    w_ident = l1_normalize_columns(rng.uniform(0.1, 1.0, size=(20, 2)))
+    a_real[:, 5] = w_ident[:, 0] + 1e-11 * rng.standard_normal(20)
+    a_real[:, 6] = w_ident[:, 0]
+    assert derive_whv(a_real, w_ident).pure_indices[0] == 6
 
 
 def test_derive_rejects_duplicate_matches():
