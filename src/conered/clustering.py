@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IndexSet, as_values
+from .errors import BadParameter
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,15 @@ def kmeans_partition(a, p: int, seed: int | np.random.SeedSequence) -> Partition
     """Partition the columns of ``a`` into p clusters.
 
     If p exceeds the number of distinct columns, p is reduced to that count
-    and a warning reports the reduction.
+    and a warning reports the reduction. p < 1 or a negative integer seed
+    raises BadParameter.
     """
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     arr = as_values(a)
     n = arr.shape[1]
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise BadParameter(f"p must be >= 1, got {p}")
     points = np.ascontiguousarray(arr.T)
     distinct = np.unique(points, axis=0).shape[0]
     if p > distinct:

@@ -33,7 +33,7 @@ from scipy.linalg import cho_solve
 
 from .core import IndexSet, as_values
 from .errors import BadRank, DegenerateDiagonal, MaxIterations
-from .lp import STATUS_OPTIMAL, LpProblem, _backward_error, solve_lp_ipm, write_lp_text
+from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, solve_lp_ipm, write_lp_text
 
 # Feasibility tolerance for a solved X: the default of ``audit_model_h``
 # and the bound ``redic`` holds every LP solution to.
@@ -182,10 +182,14 @@ def solve_model_h(model: ModelH) -> LpSolution:
     )
 
 
-def _block_stage(*args):
-    """The first stage of ``lp``'s Newton-solve chain: ``_ModelHKkt(*args)``."""
-    kkt = _ModelHKkt(*args)
-    return kkt._solve_once, kkt._residual
+def _block_stage(a_dict, kkt, d_inv, reg):
+    """The first stage of ``lp``'s Newton-solve chain for Model H.
+
+    ``kkt`` is the LP's ``lp._Unassembled`` matrix; its residual refines
+    ``_ModelHKkt``'s solves.
+    """
+    blocks = _ModelHKkt(a_dict, kkt.a, kkt.at, d_inv, reg)
+    return blocks._solve_once, partial(kkt.residual, blocks.d, reg)
 
 
 class _ModelHKkt:
@@ -207,9 +211,8 @@ class _ModelHKkt:
       off-diagonal X(i, j).
     - In the basis E+ + E-, E+ - E-, each epigraph row's t/s+/s- pair
       eliminates in closed form. That leaves one q x q matrix
-      U_j = 2 A diag(omega_j) A' + diag(psi_j), with
-      psi = (sigma theta_t + (theta_s+ + reg)(theta_s- + reg))
-      / (2 theta_t + sigma / 2) and sigma = theta_s+ + theta_s- + 2 reg.
+      U_j = 2 A diag(omega_j) A' + diag(psi_j), with psi = 2 det / kappa
+      from ``lp._epigraph_closed_form``.
 
     Both closed forms are sums and products of positive terms, so neither
     cancels when theta spans twenty orders of magnitude. dp then solves the
@@ -223,9 +226,8 @@ class _ModelHKkt:
     Comput. Optim. Appl. 2009).
 
     The constructor factors, and raises numpy's LinAlgError when a factor
-    is singular. ``_residual`` measures a solve against the unfactored KKT
-    without assembling it, so ``lp``'s chain refines ``_solve_once`` with it
-    and hands a stalled solve to its next stage.
+    is singular. ``lp``'s chain refines ``_solve_once`` against the
+    unassembled KKT and hands a stalled solve to its next stage.
     """
 
     def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):
@@ -237,7 +239,6 @@ class _ModelHKkt:
         self.p = np.arange(m) * (m + 1)  # the columns of diag(X)
         self.off = ~np.eye(m, dtype=bool)
         self._factor()
-        self.abs_a, self.abs_at = abs(a_eq), abs(at)
 
     def _factor(self) -> None:
         a, th, reg, off = self.a, self.theta, self.reg, self.off
@@ -252,9 +253,8 @@ class _ModelHKkt:
         c = self.th_x + th_c + reg
         self.inv_c = np.where(off, 1.0 / c, 0.0)
         omega = self.th_x * (th_c + reg) * self.inv_c
-        sigma = th_sp + th_sm + 2.0 * reg
-        psi = (sigma * th_t + (th_sp + reg) * (th_sm + reg)) / (2.0 * th_t + 0.5 * sigma)
-        self.kappa = 4.0 * th_t + sigma
+        det, self.kappa = _epigraph_closed_form(th_t, th_sp, th_sm, reg)
+        psi = 2.0 * det / self.kappa
         self.delta = th_sp - th_sm
         # U_j = B_j'B_j for B_j = [sqrt(2 omega_j) A'; diag(sqrt(psi_j))]: the
         # R of B_j's QR is U_j's Cholesky factor up to the signs of its rows
@@ -309,17 +309,6 @@ class _ModelHKkt:
         dx = self.theta * (self.at @ dy - f)
         dx[self.p] = dp
         return np.concatenate([dx, dy])
-
-    def _residual(self, x: np.ndarray, rhs: np.ndarray):
-        nv = self.d.size
-        dx, dy = x[:nv], x[nv:]
-        kx = np.concatenate([self.at @ dy - self.d * dx, self.a_eq @ dx + self.reg * dy])
-        abs_dx, abs_dy = np.abs(dx), np.abs(dy)
-        scale = np.concatenate(
-            [self.abs_at @ abs_dy + self.d * abs_dx, self.abs_a @ abs_dx + self.reg * abs_dy]
-        )
-        r = rhs - kx
-        return r, _backward_error(r, scale + np.abs(rhs))
 
 
 def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

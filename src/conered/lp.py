@@ -22,7 +22,10 @@ two stages on the assembled matrix: SuperLU on its diagonal, in symmetric
 mode under a minimum-degree order of A + A' (about ten times less fill than
 a partially pivoted LU), then a partially pivoted LU. A caller that knows its
 problem's structure heads the chain with its own stage through the private
-``_first_stage`` keyword, as ``hottopixx`` does for Model H.
+``_first_stage`` keyword: ``hottopixx`` does for Model H, and ``metrics`` for
+``rho``'s sign-pattern LPs. Such a stage refines against the unassembled
+matrix (``_Unassembled``), and the epigraph rows that both LPs share
+eliminate by one closed form (``_epigraph_closed_form``).
 ``LpResult.fallbacks`` counts the iterations served by a stage after the
 first. The solver is deterministic.
 
@@ -97,12 +100,14 @@ def solve_lp_ipm(
     gap all drop below ``tol``. Raises NumericalBreakdown on non-finite
     iterates or an unfactorable Newton system.
 
-    ``_first_stage(a, at, d_inv, reg)``, when given, heads each iteration's
+    ``_first_stage(kkt, d_inv, reg)``, when given, heads each iteration's
     chain of Newton-solve stages (``_NewtonSolver``), before the assembled
-    KKT. ``hottopixx`` passes one that exploits Model H's block structure.
+    KKT; ``kkt`` is the LP's ``_Unassembled`` matrix. ``hottopixx`` and
+    ``metrics.rho`` pass stages that exploit their LPs' structure.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
+    unassembled = _Unassembled(A, AT) if _first_stage else None
     c = prob.c
     b = prob.b_eq
     ub = prob.ub
@@ -151,10 +156,9 @@ def solve_lp_ipm(
         solver = None
         reg = 1e-12
         while solver is None:
-            system = (A, AT, d_inv, reg)
-            first = [partial(_first_stage, *system)] if _first_stage else []
+            first = [partial(_first_stage, unassembled, d_inv, reg)] if _first_stage else []
             try:
-                solver = _NewtonSolver(first + _kkt_stages(partial(_kkt_matrix, *system)))
+                solver = _NewtonSolver(first + _kkt_stages(partial(_kkt_matrix, A, AT, d_inv, reg)))
             except RuntimeError:
                 reg *= 1e4
                 if reg > 1e-2:
@@ -253,6 +257,46 @@ def _kkt_stages(build_kkt) -> list:
 def _kkt_residual(kkt, abs_kkt, x, rhs):
     r = rhs - kkt @ x
     return r, _backward_error(r, abs_kkt @ np.abs(x) + np.abs(rhs))
+
+
+class _Unassembled:
+    """One LP's augmented matrix [[-diag, A'], [A, reg I]], never assembled.
+
+    |A| and |A'| are built once per LP; a first stage refines its solves
+    with ``residual``, where ``diag`` is D + reg, the iteration's diagonal.
+    """
+
+    def __init__(self, a, at):
+        self.a, self.at = a, at
+        self.abs_a, self.abs_at = abs(a), abs(at)
+
+    def residual(self, diag: np.ndarray, reg: float, x: np.ndarray, rhs: np.ndarray):
+        """The residual rhs - K x and its componentwise backward error."""
+        nv = diag.size
+        dx, dy = x[:nv], x[nv:]
+        kx = np.concatenate([self.at @ dy - diag * dx, self.a @ dx + reg * dy])
+        abs_dx, abs_dy = np.abs(dx), np.abs(dy)
+        scale = np.concatenate(
+            [self.abs_at @ abs_dy + diag * abs_dx, self.abs_a @ abs_dx + reg * abs_dy]
+        )
+        r = rhs - kx
+        return r, _backward_error(r, scale + np.abs(rhs))
+
+
+def _epigraph_closed_form(th_t, th_1, th_2, reg: float):
+    """(det, kappa) for one band's pair of L1 epigraph rows.
+
+    The rows are  (W x)_i - A_i -+ t_i +- s_i = 0: both hold t_i, each its
+    own slack. Eliminating t_i and the slacks (weights th = 1 / (D + reg))
+    leaves on the pair the 2 x 2 matrix [[c + a, +-c], [+-c, c + b]], with
+    c = th_t, a = th_1 + reg and b = th_2 + reg. Its determinant is
+    det = c (a + b) + a b, and the weight it leaves on W's rows is
+    kappa / det, with kappa = 4 c + a + b. Both are sums and products of
+    positive terms, so neither cancels when th spans twenty decades.
+    """
+    sigma = th_1 + th_2 + 2.0 * reg
+    det = sigma * th_t + (th_1 + reg) * (th_2 + reg)
+    return det, 4.0 * th_t + sigma
 
 
 class _NewtonSolver:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 
 from .assignment import min_cost_matching, solve_assignment
 from .core import IndexSet, as_values, l1_cost, mrsa_cost
@@ -26,14 +28,14 @@ from .errors import (
     MaxIterations,
     TooManyColumns,
 )
-from .lp import STATUS_OPTIMAL, LpProblem, solve_lp_ipm
+from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, solve_lp_ipm
 from .nnls import nnls_solve
 from .synth import SynthInstance, assemble, matrix_l1_norm
 
 MRSA_SCALE = 100.0
 
 
-def rho(w, tol: float = 1e-10) -> float:
+def rho(w) -> float:
     """Exact min_{||x||_1 = 1} ||W x||_1 via sign-pattern LPs.
 
     For each sign pattern s the substitution x = diag(s) y with y >= 0,
@@ -49,8 +51,8 @@ def rho(w, tol: float = 1e-10) -> float:
         raise TooManyColumns(f"sign-pattern enumeration is capped at r = 12, got {r}")
     best = np.inf
     for signs in itertools.product((1.0, -1.0), repeat=r - 1):
-        prob = sign_pattern_lp(wm * np.asarray((1.0, *signs))[None, :])
-        res = solve_lp_ipm(prob, tol=tol)
+        ws = wm * np.asarray((1.0, *signs))[None, :]
+        res = solve_lp_ipm(sign_pattern_lp(ws), tol=1e-10, _first_stage=partial(_sign_pattern_stage, ws))
         if res.status != STATUS_OPTIMAL:
             raise MaxIterations("sign-pattern LP did not converge")
         best = min(best, res.objective)
@@ -61,27 +63,96 @@ def sign_pattern_lp(ws: np.ndarray) -> LpProblem:
     """min 1't s.t. -t <= Ws y <= t, 1'y = 1, y >= 0 in equality form.
 
     ``ws`` is W with its columns multiplied by one sign pattern. Variables:
-    y (r), t (d), then the slacks of the two epigraph families (d each).
+    y (r), t (d), then the slacks s1, s2 of the two epigraph families (d
+    each). Rows: E1 = Ws y - t + s1 = 0, E2 = -Ws y - t + s2 = 0 (d each),
+    then the trace row 1'y = 1. The CSR arrays are built directly; exact
+    zeros of ``ws`` are left out.
     """
     d, r = ws.shape
     nv = r + 3 * d
-    eye_d = sp.identity(d, format="coo")
-    zero_d = sp.coo_matrix((d, d))
-    ones_row = sp.coo_matrix(
-        (np.ones(r), (np.zeros(r, dtype=np.int64), np.arange(r))), shape=(1, nv)
-    )
-    a_eq = sp.vstack(
-        [
-            sp.hstack([sp.coo_matrix(ws), -eye_d, eye_d, zero_d], format="coo"),
-            sp.hstack([sp.coo_matrix(-ws), -eye_d, zero_d, eye_d], format="coo"),
-            ones_row,
-        ],
-        format="csr",
+    # row i of E1 and of E2: the r entries of y, then t_i, then s1_i or s2_i
+    ones, band = np.ones((d, 1)), np.arange(d)[:, None]
+    y_cols = np.broadcast_to(np.arange(r), (d, r))
+    vals = np.vstack([np.hstack([ws, -ones, ones]), np.hstack([-ws, -ones, ones])])
+    cols = np.vstack([
+        np.hstack([y_cols, r + band, r + d + band]),
+        np.hstack([y_cols, r + band, r + 2 * d + band]),
+    ])
+    keep = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1)), [keep.sum() + r]])
+    a_eq = sp.csr_matrix(
+        (
+            np.concatenate([vals[keep], np.ones(r)]),
+            np.concatenate([cols[keep], np.arange(r)]).astype(np.int32),
+            indptr.astype(np.int32),
+        ),
+        shape=(2 * d + 1, nv),
     )
     b_eq = np.concatenate([np.zeros(2 * d), [1.0]])
     c = np.zeros(nv)
     c[r : r + d] = 1.0
     return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=np.full(nv, np.inf))
+
+
+def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
+    """The first stage of ``lp``'s Newton-solve chain for ``sign_pattern_lp(ws)``.
+
+    With theta = 1 / (D + reg), each band's t/s1/s2 triple and its rows E1,
+    E2 eliminate in closed form (``lp._epigraph_closed_form``, with
+    c = theta_t, a = theta_s1 + reg and b = theta_s2 + reg). That leaves the
+    r x r matrix N = D_y + Ws' diag(h) Ws on the step in y, h = kappa / det,
+    bordered by the trace row. N's Cholesky factor is the R of the QR of
+    [sqrt(h) Ws; diag(sqrt(D_y))]; N itself is not formed, since near
+    convergence its condition number passes 1 / eps. Each band's five
+    unknowns then come from their own closed forms, whose coefficients
+    (det, 2c + a, 2c + b, ...) are sums and products of positive terms: the
+    generic theta (A'dy - f) would cancel where a weight is large. That is
+    O(d r^2) per iteration and no sparse factorization.
+
+    Raises numpy's LinAlgError when the factor is singular (or D is
+    indefinite), so the chain falls back to the assembled KKT. Solves are
+    refined against ``kkt``, the LP's unassembled matrix.
+    """
+    d, r = ws.shape
+    diag = d_inv + reg
+    theta = 1.0 / diag
+    c, th_1, th_2 = theta[r : r + d], theta[r + d : r + 2 * d], theta[r + 2 * d :]
+    a, b = th_1 + reg, th_2 + reg
+    det, kappa = _epigraph_closed_form(c, th_1, th_2, reg)
+    root = np.vstack([np.sqrt(kappa / det)[:, None] * ws, np.diag(np.sqrt(diag[:r]))])
+    upper = np.linalg.qr(root, mode="r")
+    if not np.all(np.abs(np.diag(upper)) > 0.0):
+        raise np.linalg.LinAlgError("the sign-pattern Newton matrix's triangular factor is singular")
+    factor = (upper, False)
+    v = cho_solve(factor, np.ones(r), check_finite=False)
+    v_sum = float(v.sum()) + reg
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        f_y = rhs[:r]
+        f_t, f_1, f_2, g_1, g_2 = (rhs[r + k * d : r + (k + 1) * d] for k in range(5))
+        q_1, q_2 = g_1 + th_1 * f_1, g_2 + th_2 * f_2
+        # N dx_y - dy_trace 1 = Ws'e - f_y, and 1'dx_y + reg dy_trace = rhs[-1]
+        e = ((2.0 * c + b) * q_1 - (2.0 * c + a) * q_2 + c * (th_1 - th_2) * f_t) / det
+        u = cho_solve(factor, ws.T @ e - f_y, check_finite=False)
+        dy_trace = (rhs[-1] - u.sum()) / v_sum
+        dx_y = u + v * dy_trace
+        w_dx = ws @ dx_y
+        g_1, g_2, q_1, q_2 = g_1 - w_dx, g_2 + w_dx, q_1 - w_dx, q_2 + w_dx
+        # each band's dx_t, dx_s1, dx_s2 and its E1, E2 multipliers, with
+        # Ws dx_y now moved into g and q
+        n_1 = (c + b) * g_1 - c * (q_2 + b * f_t)
+        n_2 = (c + a) * g_2 - c * (q_1 + a * f_t)
+        return np.concatenate([
+            dx_y,
+            -c * (a * b * f_t + b * q_1 + a * q_2) / det,
+            th_1 * (n_1 - (c * b + reg * (c + b)) * f_1) / det,
+            th_2 * (n_2 - (c * a + reg * (c + a)) * f_2) / det,
+            (n_1 + (c + b) * th_1 * f_1) / det,
+            (n_2 + (c + a) * th_2 * f_2) / det,
+            [dy_trace],
+        ])
+
+    return solve, partial(kkt.residual, diag, reg)
 
 
 def reconstruction_error(ap, k: IndexSet) -> float:

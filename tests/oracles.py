@@ -533,3 +533,30 @@ def model_h_lp_loop(model: ModelH, with_names: bool = False) -> LpProblem:
             + [f"sc_{i}_{j}" for (i, j) in pairs]
         )
     return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=ub, names=names)
+
+
+def sign_pattern_lp_stacked(ws: np.ndarray) -> LpProblem:
+    """``metrics.sign_pattern_lp`` built by stacking sparse blocks.
+
+    The reference for the index-arithmetic builder: the same LP, with the
+    same CSR arrays and right-hand side.
+    """
+    d, r = ws.shape
+    nv = r + 3 * d
+    eye_d = sp.identity(d, format="coo")
+    zero_d = sp.coo_matrix((d, d))
+    ones_row = sp.coo_matrix(
+        (np.ones(r), (np.zeros(r, dtype=np.int64), np.arange(r))), shape=(1, nv)
+    )
+    a_eq = sp.vstack(
+        [
+            sp.hstack([sp.coo_matrix(ws), -eye_d, eye_d, zero_d], format="coo"),
+            sp.hstack([sp.coo_matrix(-ws), -eye_d, zero_d, eye_d], format="coo"),
+            ones_row,
+        ],
+        format="csr",
+    )
+    b_eq = np.concatenate([np.zeros(2 * d), [1.0]])
+    c = np.zeros(nv)
+    c[r : r + d] = 1.0
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, ub=np.full(nv, np.inf))

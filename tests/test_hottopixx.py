@@ -20,7 +20,7 @@ from conered import (
 )
 from conered.errors import BadRank, DegenerateDiagonal
 from conered.hottopixx import _block_stage, _ModelHKkt, audit_model_h, write_model_lp
-from conered.lp import _kkt_matrix, _kkt_stages, _NewtonSolver, solve_lp_ipm
+from conered.lp import _kkt_matrix, _kkt_stages, _NewtonSolver, _Unassembled, solve_lp_ipm
 
 from oracles import model_h_lp_loop, simplex_model_h
 
@@ -195,7 +195,8 @@ def _kkt_parts(a, d, reg=1e-12):
 
 def _model_h_chain(a, a_eq, at, d, kkt, reg=1e-12):
     # the chain solve_model_h gives solve_lp_ipm: the block solve, then the KKT
-    return _NewtonSolver([partial(_block_stage, a, a_eq, at, d, reg)] + _kkt_stages(lambda: kkt))
+    stage = partial(_block_stage, a, _Unassembled(a_eq, at), d, reg)
+    return _NewtonSolver([stage] + _kkt_stages(lambda: kkt))
 
 
 def test_block_solve_matches_dense_solve_over_twenty_decades():
@@ -209,7 +210,7 @@ def test_block_solve_matches_dense_solve_over_twenty_decades():
     solver = _model_h_chain(a, a_eq, at, d, kkt)
     x = solver.solve(b)
     assert not solver.fell_back
-    assert _ModelHKkt(a, a_eq, at, d, 1e-12)._residual(x, b)[1] <= 1e-13
+    assert _Unassembled(a_eq, at).residual(d + 1e-12, 1e-12, x, b)[1] <= 1e-13
     r = b - kkt @ x
     knorm = abs(kkt).sum(axis=1).max()
     assert np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max()) <= 1e-13

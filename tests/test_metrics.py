@@ -1,7 +1,9 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +18,12 @@ from conered import (
     rho,
     theorem1_check,
 )
+from conered import metrics
 from conered.errors import KSmallerThanR, TooManyColumns
-from conered.lp import STATUS_OPTIMAL, solve_lp_ipm
-from conered.metrics import abundance_maxima, sign_pattern_lp
+from conered.lp import STATUS_OPTIMAL, _kkt_matrix, _kkt_stages, _NewtonSolver, _Unassembled, solve_lp_ipm
+from conered.metrics import _sign_pattern_stage, abundance_maxima, sign_pattern_lp
 
-from oracles import assignment_enumerate, rho_grid
+from oracles import assignment_enumerate, rho_grid, sign_pattern_lp_stacked
 
 
 def test_rho_identity():
@@ -99,6 +102,86 @@ def test_rho_positive_iff_independent(seed):
         # force dependence and watch rho collapse
         w[:, -1] = w[:, 0]
         assert rho(w) <= 1e-8
+
+
+def _patterns(w):
+    """W times each of its 2^(r-1) sign patterns with a positive first entry."""
+    for signs in itertools.product((1.0, -1.0), repeat=w.shape[1] - 1):
+        yield w * np.asarray((1.0, *signs))[None, :]
+
+
+def test_sign_pattern_lp_matches_stacked_reference():
+    w = np.random.default_rng(41).standard_normal((20, 7))
+    w[[0, 3, 3, 19], [0, 2, 6, 4]] = 0.0  # exact zeros are left out
+    for ws in _patterns(w):
+        prob, ref = sign_pattern_lp(ws), sign_pattern_lp_stacked(ws)
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(prob.a_eq, attr), getattr(ref.a_eq, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for attr in ("c", "b_eq", "ub"):
+            assert np.array_equal(getattr(prob, attr), getattr(ref, attr))
+
+
+def _sign_pattern_chain(ws, d, reg=1e-12):
+    # the chain rho gives solve_lp_ipm: the sign-pattern stage, then the KKT
+    a_eq = sign_pattern_lp(ws).a_eq
+    at = sp.csc_matrix(a_eq.T)
+    kkt = _kkt_matrix(a_eq, at, d, reg)
+    stage = partial(_sign_pattern_stage, ws, _Unassembled(a_eq, at), d, reg)
+    return _NewtonSolver([stage] + _kkt_stages(lambda: kkt)), _Unassembled(a_eq, at), kkt
+
+
+def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
+    rng = np.random.default_rng(85)
+    ws = rng.standard_normal((50, 7))
+    for _ in range(5):
+        d = 10.0 ** rng.uniform(-10.0, 10.0, 7 + 3 * 50)
+        solver, unassembled, kkt = _sign_pattern_chain(ws, d)
+        b = rng.standard_normal(kkt.shape[0])
+        x = solver.solve(b)
+        assert not solver.fell_back
+        assert unassembled.residual(d + 1e-12, 1e-12, x, b)[1] <= 1e-13
+        r = b - kkt @ x
+        knorm = abs(kkt).sum(axis=1).max()
+        assert np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max()) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_sign_pattern_stage_without_a_factor_uses_the_assembled_kkt():
+    # a negative weight on y has no square root, so N has no Cholesky factor
+    rng = np.random.default_rng(86)
+    ws = rng.standard_normal((6, 3))
+    d = np.ones(3 + 3 * 6)
+    d[:3] = -1.0
+    solver, unassembled, kkt = _sign_pattern_chain(ws, d)
+    with pytest.raises(np.linalg.LinAlgError):
+        _sign_pattern_stage(ws, unassembled, d, 1e-12)
+    assert solver.fell_back
+    b = rng.standard_normal(kkt.shape[0])
+    x = solver.solve(b)
+    assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-10, atol=1e-12)
+
+
+def test_sign_pattern_stage_keeps_iterations_on_rho_instance(monkeypatch):
+    # perfbench rho-patterns, seed 1: 64 LPs and 747 iterations, with 2
+    # pivoted-LU fallbacks on the assembled KKT alone
+    w = random_separable(d=50, n=7, r=7, seed=np.random.SeedSequence([1, 3]), noise_norm=0.0).w
+    calls = []
+
+    def recording(prob, *args, **kwargs):
+        res = solve_lp_ipm(prob, *args, **kwargs)
+        calls.append((prob, res))
+        return res
+
+    monkeypatch.setattr(metrics, "solve_lp_ipm", recording)
+    rho(w)
+    assert len(calls) == 64
+    assert sum(res.iterations for _, res in calls) == 747
+    for prob, res in calls:
+        assembled = solve_lp_ipm(prob)
+        assert res.fallbacks == 0
+        assert res.iterations == assembled.iterations
+        assert res.objective == pytest.approx(assembled.objective, rel=1e-12)
 
 
 def test_reconstruction_error_self_representation():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -13,6 +14,7 @@ from conered import (
     reduce_dimension,
     verify_gamma,
 )
+from conered.errors import BadParameter
 from conered.nnls import cone_membership
 
 from oracles import nnls_enumerate
@@ -58,6 +60,13 @@ def test_drs_four_columns_any_partition():
     a = np.array([[1.0, 0.0, 0.5, 0.25], [0.0, 1.0, 0.5, 0.75]])
     for seed in range(8):
         assert list(drs(a, 2, seed=seed).to_one_based()) == [1, 2]
+
+
+@pytest.mark.parametrize(("p", "seed", "name"), [(3, -1, "seed"), (0, 0, "p")])
+def test_drs_rejects_a_bad_group_count_or_seed(p, seed, name):
+    a = assemble(random_separable(6, 30, 3, seed=1), 0.1)
+    with pytest.raises(BadParameter, match=name):
+        drs(a, p, seed=seed)
 
 
 def test_gamma_full_set():
