@@ -18,8 +18,8 @@ that uses the model's structure (``_ModelHKkt``): X's columns are independent
 blocks joined only by diag(X) and the trace row, so each iteration factors
 one q x q matrix per column and one m x m Schur complement on diag(X), and no
 sparse matrix. When that stage cannot factor or its refinement stalls, the
-chain's stages on the assembled KKT (symmetric SuperLU, then a pivoted LU)
-take the iteration over, and ``LpSolution.fallbacks`` counts it.
+chain's last stage, a pivoted LU of the assembled KKT, takes the iteration
+over, and ``LpSolution.fallbacks`` counts it.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
 
 from .core import IndexSet, as_values
 from .errors import BadRank, DegenerateDiagonal, MaxIterations
-from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, solve_lp_ipm, write_lp_text
+from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, _trace_bordered, solve_lp_ipm, write_lp_text
 
 # Feasibility tolerance for a solved X: the default of ``audit_model_h``
 # and the bound ``redic`` holds every LP solution to.
@@ -82,7 +81,7 @@ class LpSolution:
     """Solved model: X, the attained objective 1'T1, and the solver status.
 
     ``fallbacks`` counts the iterations whose Newton system went to the
-    assembled KKT's SuperLU factorization instead of the block solve.
+    assembled KKT's pivoted LU instead of the block solve.
     """
 
     x_matrix: np.ndarray
@@ -217,13 +216,14 @@ class _ModelHKkt:
     Both closed forms are sums and products of positive terms, so neither
     cancels when theta spans twenty orders of magnitude. dp then solves the
     m x m Schur complement S = D_p + sum_j P_j' M_j^-1 P_j, where P_j holds
-    p's columns on block j's rows, bordered by the trace row. The Cholesky
-    factors of U_j (batched over j) and of S come from the QR factorization
-    of a square root of each, U = B'B, which is not formed; a Cholesky of
-    the formed matrix breaks down near convergence, where its condition
-    number passes 1 / eps. That costs O(m^2 q^2 + m^3 q) per iteration, with no sparse
-    factorization (a block-angular Newton solve as in Gondzio & Grothey,
-    Comput. Optim. Appl. 2009).
+    p's columns on block j's rows, bordered by the trace row
+    (``lp._trace_bordered``). The Cholesky factors of U_j (batched over j)
+    and of S come from the QR factorization of a square root of each,
+    U = B'B, which is not formed; a Cholesky of the formed matrix breaks
+    down near convergence, where its condition number passes 1 / eps. That
+    costs O(m^2 q^2 + m^3 q) per iteration, with no sparse factorization (a
+    block-angular Newton solve as in Gondzio & Grothey, Comput. Optim. Appl.
+    2009).
 
     The constructor factors, and raises numpy's LinAlgError when a factor
     is singular. ``lp``'s chain refines ``_solve_once`` against the
@@ -270,12 +270,8 @@ class _ModelHKkt:
         phi[~off] = 1.0
         w = _forward_substitute(self.u_lower, a * phi[:, None, :]).reshape(m * q, m)
         s_diag = self.d[self.p] + self.inv_c.sum(axis=0)
-        s_upper = np.linalg.qr(np.concatenate([np.sqrt(2.0) * w, np.diag(np.sqrt(s_diag))]), mode="r")
-        if not np.all(np.abs(np.diag(s_upper)) > 0.0):
-            raise np.linalg.LinAlgError("the Schur complement's triangular factor is singular")
-        self.s_factor = (s_upper, False)
-        self.v = cho_solve(self.s_factor, np.ones(m), check_finite=False)
-        self.v_sum = float(self.v.sum()) + reg
+        s_root = np.concatenate([np.sqrt(2.0) * w, np.diag(np.sqrt(s_diag))])
+        self.s_solve = _trace_bordered(s_root, reg)
 
     def _solve_blocks(self, r_p, r_m, r_c):
         """M z = r on the block rows: E+ and E- as (m, q), coupling as (m, m)."""
@@ -300,9 +296,7 @@ class _ModelHKkt:
         g_c[off] = g[2 * nt : -1]
         z_p, z_m, z_c = self._solve_blocks(g_p, g_m, g_c)
         h = ((z_p + z_m) * a.T).sum(axis=1) - z_c.sum(axis=0) - f[self.p]
-        u = cho_solve(self.s_factor, h, check_finite=False)
-        dy_trace = (g[-1] - u.sum()) / self.v_sum
-        dp = u + self.v * dy_trace
+        dp, dy_trace = self.s_solve(h, g[-1])
         a_dp = a.T * dp[:, None]
         y_p, y_m, y_c = self._solve_blocks(g_p - a_dp, g_m - a_dp, g_c + np.where(off, dp, 0.0))
         dy = np.concatenate([y_p.ravel(), y_m.ravel(), y_c[off], [dy_trace]])

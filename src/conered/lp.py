@@ -9,23 +9,21 @@ form
     [ -(D + reg I)   A' ] [dx]   [rhat]
     [      A      reg I ] [dy] = [ rp ]
 
-which is symmetric quasi-definite: such a matrix has a stable LDL'-type
-factorization under any symmetric permutation (Vanderbei 1995). Each
-iteration's solves go through one chain of stages (``_NewtonSolver``), each a
-way to factor the system. The first stage that factors serves, and every
-solve is refined against the unfactored matrix until its componentwise
+Each iteration's solves go through one chain of stages (``_NewtonSolver``),
+each a way to factor the system. The first stage that factors serves, and
+every solve is refined against the unfactored matrix until its componentwise
 backward error is a few machine epsilons (Arioli, Demmel & Duff 1989). A
 solve whose refinement stalls above ``_REFINE_ACCEPT`` is redone by the next
 stage, which serves the rest of the iteration; this happens near
 convergence, where D spans twenty orders of magnitude. The chain ends with
-two stages on the assembled matrix: SuperLU on its diagonal, in symmetric
-mode under a minimum-degree order of A + A' (about ten times less fill than
-a partially pivoted LU), then a partially pivoted LU. A caller that knows its
-problem's structure heads the chain with its own stage through the private
-``_first_stage`` keyword: ``hottopixx`` does for Model H, and ``metrics`` for
-``rho``'s sign-pattern LPs. Such a stage refines against the unassembled
-matrix (``_Unassembled``), and the epigraph rows that both LPs share
-eliminate by one closed form (``_epigraph_closed_form``).
+one stage on the assembled matrix, a partially pivoted LU
+(``_assembled_stage``). A caller that knows its problem's structure heads
+the chain with its own stage through the private ``_first_stage`` keyword:
+``hottopixx`` does for Model H, and ``metrics`` for ``rho``'s sign-pattern
+LPs. Such a stage refines against the unassembled matrix (``_Unassembled``).
+Both LPs' epigraph rows eliminate by one closed form
+(``_epigraph_closed_form``), and one solve (``_trace_bordered``) borders
+both reduced matrices with the trace row.
 ``LpResult.fallbacks`` counts the iterations served by a stage after the
 first. The solver is deterministic.
 
@@ -36,10 +34,11 @@ external solver can check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, NumericalBreakdown
@@ -48,15 +47,11 @@ STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
 
 _EPS = float(np.finfo(np.float64).eps)
+_TOL = 1e-10  # convergence: scaled residuals and relative gap all below this
 # Refinement stops at this componentwise backward error ...
 _REFINE_TARGET = 4.0 * _EPS
 # ... and a solve that stalls above this one is redone by the next stage.
 _REFINE_ACCEPT = 4096.0 * _EPS
-_SYMMETRIC_LU = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.0,
-    options=dict(SymmetricMode=True),
-)
 
 
 @dataclass
@@ -91,19 +86,18 @@ class LpResult:
     fallbacks: int = 0
 
 
-def solve_lp_ipm(
-    prob: LpProblem, tol: float = 1e-10, max_iter: int = 200, *, _first_stage=None
-) -> LpResult:
+def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> LpResult:
     """Mehrotra predictor-corrector interior-point solve.
 
     Converges when the scaled primal/dual residuals and the relative duality
-    gap all drop below ``tol``. Raises NumericalBreakdown on non-finite
+    gap all drop below ``_TOL``. Raises NumericalBreakdown on non-finite
     iterates or an unfactorable Newton system.
 
     ``_first_stage(kkt, d_inv, reg)``, when given, heads each iteration's
     chain of Newton-solve stages (``_NewtonSolver``), before the assembled
     KKT; ``kkt`` is the LP's ``_Unassembled`` matrix. ``hottopixx`` and
-    ``metrics.rho`` pass stages that exploit their LPs' structure.
+    ``metrics.rho`` pass stages that exploit their LPs' structure. Without
+    one, every iteration factors the assembled KKT by a pivoted LU.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
@@ -144,7 +138,7 @@ def solve_lp_ipm(
         rpn = float(np.linalg.norm(rp, np.inf)) / bnorm if neq else 0.0
         rdn = float(np.linalg.norm(rd, np.inf)) / cnorm
         run = (float(np.linalg.norm(ru, np.inf)) / unorm) if nb else 0.0
-        if max(rpn, rdn, run, relgap) <= tol:
+        if max(rpn, rdn, run, relgap) <= _TOL:
             status = STATUS_OPTIMAL
             break
 
@@ -156,9 +150,10 @@ def solve_lp_ipm(
         solver = None
         reg = 1e-12
         while solver is None:
-            first = [partial(_first_stage, unassembled, d_inv, reg)] if _first_stage else []
+            stages = [partial(_first_stage, unassembled, d_inv, reg)] if _first_stage else []
+            stages.append(partial(_assembled_stage, partial(_kkt_matrix, A, AT, d_inv, reg)))
             try:
-                solver = _NewtonSolver(first + _kkt_stages(partial(_kkt_matrix, A, AT, d_inv, reg)))
+                solver = _NewtonSolver(stages)
             except RuntimeError:
                 reg *= 1e4
                 if reg > 1e-2:
@@ -235,23 +230,11 @@ def _kkt_matrix(a, at, d_inv, reg: float) -> sp.csc_matrix:
     )
 
 
-def _kkt_stages(build_kkt) -> list:
-    """The chain's last two stages: the assembled KKT factored on its
-    diagonal (``_SYMMETRIC_LU``), then by a partially pivoted LU.
-
-    ``build_kkt()`` returns the matrix; it runs at most once, on first use.
-    """
-
-    @cache
-    def built():
-        kkt = build_kkt()
-        return kkt, abs(kkt)
-
-    def factor(options):
-        kkt, abs_kkt = built()
-        return splu(kkt, **options).solve, partial(_kkt_residual, kkt, abs_kkt)
-
-    return [partial(factor, _SYMMETRIC_LU), partial(factor, {})]
+def _assembled_stage(build_kkt):
+    """The chain's last stage: a partially pivoted LU of the assembled KKT,
+    which ``build_kkt()`` builds only when the chain reaches this stage."""
+    kkt = build_kkt()
+    return splu(kkt).solve, partial(_kkt_residual, kkt, abs(kkt))
 
 
 def _kkt_residual(kkt, abs_kkt, x, rhs):
@@ -297,6 +280,29 @@ def _epigraph_closed_form(th_t, th_1, th_2, reg: float):
     sigma = th_1 + th_2 + 2.0 * reg
     det = sigma * th_t + (th_1 + reg) * (th_2 + reg)
     return det, 4.0 * th_t + sigma
+
+
+def _trace_bordered(root: np.ndarray, reg: float):
+    """``solve(h, g)`` -> (dx, t) with N dx - t 1 = h and 1'dx + reg t = g.
+
+    Both structured stages border their N = root' root with the trace row.
+    N's Cholesky factor is the R of root's QR (near convergence N's
+    condition number passes 1 / eps, so N is not formed); numpy's
+    LinAlgError is raised when that factor is singular.
+    """
+    upper = np.linalg.qr(root, mode="r")
+    if not np.all(np.abs(np.diag(upper)) > 0.0):
+        raise np.linalg.LinAlgError("the bordered matrix's triangular factor is singular")
+    factor = (upper, False)
+    v = cho_solve(factor, np.ones(upper.shape[0]), check_finite=False)
+    v_sum = float(v.sum()) + reg
+
+    def solve(h: np.ndarray, g: float):
+        u = cho_solve(factor, h, check_finite=False)
+        t = (g - u.sum()) / v_sum
+        return u + v * t, t
+
+    return solve
 
 
 class _NewtonSolver:

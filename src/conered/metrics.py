@@ -18,7 +18,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
 
 from .assignment import min_cost_matching, solve_assignment
 from .core import IndexSet, as_values, l1_cost, mrsa_cost
@@ -28,7 +27,7 @@ from .errors import (
     MaxIterations,
     TooManyColumns,
 )
-from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, solve_lp_ipm
+from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, _trace_bordered, solve_lp_ipm
 from .nnls import nnls_solve
 from .synth import SynthInstance, assemble, matrix_l1_norm
 
@@ -52,7 +51,7 @@ def rho(w) -> float:
     best = np.inf
     for signs in itertools.product((1.0, -1.0), repeat=r - 1):
         ws = wm * np.asarray((1.0, *signs))[None, :]
-        res = solve_lp_ipm(sign_pattern_lp(ws), tol=1e-10, _first_stage=partial(_sign_pattern_stage, ws))
+        res = solve_lp_ipm(sign_pattern_lp(ws), _first_stage=partial(_sign_pattern_stage, ws))
         if res.status != STATUS_OPTIMAL:
             raise MaxIterations("sign-pattern LP did not converge")
         best = min(best, res.objective)
@@ -101,13 +100,12 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
     E2 eliminate in closed form (``lp._epigraph_closed_form``, with
     c = theta_t, a = theta_s1 + reg and b = theta_s2 + reg). That leaves the
     r x r matrix N = D_y + Ws' diag(h) Ws on the step in y, h = kappa / det,
-    bordered by the trace row. N's Cholesky factor is the R of the QR of
-    [sqrt(h) Ws; diag(sqrt(D_y))]; N itself is not formed, since near
-    convergence its condition number passes 1 / eps. Each band's five
-    unknowns then come from their own closed forms, whose coefficients
-    (det, 2c + a, 2c + b, ...) are sums and products of positive terms: the
-    generic theta (A'dy - f) would cancel where a weight is large. That is
-    O(d r^2) per iteration and no sparse factorization.
+    bordered by the trace row (``lp._trace_bordered``, with N's square root
+    [sqrt(h) Ws; diag(sqrt(D_y))]). Each band's five unknowns then come from
+    their own closed forms, whose coefficients (det, 2c + a, 2c + b, ...)
+    are sums and products of positive terms: the generic theta (A'dy - f)
+    would cancel where a weight is large. That is O(d r^2) per iteration and
+    no sparse factorization.
 
     Raises numpy's LinAlgError when the factor is singular (or D is
     indefinite), so the chain falls back to the assembled KKT. Solves are
@@ -120,12 +118,7 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
     a, b = th_1 + reg, th_2 + reg
     det, kappa = _epigraph_closed_form(c, th_1, th_2, reg)
     root = np.vstack([np.sqrt(kappa / det)[:, None] * ws, np.diag(np.sqrt(diag[:r]))])
-    upper = np.linalg.qr(root, mode="r")
-    if not np.all(np.abs(np.diag(upper)) > 0.0):
-        raise np.linalg.LinAlgError("the sign-pattern Newton matrix's triangular factor is singular")
-    factor = (upper, False)
-    v = cho_solve(factor, np.ones(r), check_finite=False)
-    v_sum = float(v.sum()) + reg
+    n_solve = _trace_bordered(root, reg)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         f_y = rhs[:r]
@@ -133,9 +126,7 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
         q_1, q_2 = g_1 + th_1 * f_1, g_2 + th_2 * f_2
         # N dx_y - dy_trace 1 = Ws'e - f_y, and 1'dx_y + reg dy_trace = rhs[-1]
         e = ((2.0 * c + b) * q_1 - (2.0 * c + a) * q_2 + c * (th_1 - th_2) * f_t) / det
-        u = cho_solve(factor, ws.T @ e - f_y, check_finite=False)
-        dy_trace = (rhs[-1] - u.sum()) / v_sum
-        dx_y = u + v * dy_trace
+        dx_y, dy_trace = n_solve(ws.T @ e - f_y, rhs[-1])
         w_dx = ws @ dx_y
         g_1, g_2, q_1, q_2 = g_1 - w_dx, g_2 + w_dx, q_1 - w_dx, q_2 + w_dx
         # each band's dx_t, dx_s1, dx_s2 and its E1, E2 multipliers, with

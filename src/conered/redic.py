@@ -22,6 +22,7 @@ from .errors import (
     BadParameter,
     BadRank,
     InsufficientColumns,
+    KSmallerThanR,
     NumericalBreakdown,
     RankTooLarge,
 )
@@ -121,6 +122,11 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
     if cfg.lam > outside.size:
         raise InsufficientColumns(
             f"lam = {cfg.lam} exceeds the {outside.size} columns outside K"
+        )
+    if len(k) + cfg.lam < cfg.r:
+        raise KSmallerThanR(
+            f"the reduction kept |K| = {len(k)} columns; with lam = {cfg.lam} "
+            f"that leaves fewer than r = {cfg.r} columns for the LP"
         )
 
     reps: list[np.ndarray] = []

@@ -160,6 +160,16 @@ def test_infeasible_rank_is_config_error(tmp_path, capsys):
     assert code == 5
 
 
+def test_reduction_below_rank_is_config_error(tmp_path, capsys):
+    # a rank-2 image keeps 2 columns, too few for an r = 3 LP
+    rng = np.random.default_rng(5)
+    a_path = str(tmp_path / "a.hsm1")
+    store_matrix(rng.random((6, 2)) @ rng.dirichlet(np.ones(2), size=30).T, a_path)
+    code, _, err = run(capsys, "extract", a_path, "--r", "3", "--out", str(tmp_path / "w.hsm1"))
+    assert code == 5
+    assert "|K| = 2" in err
+
+
 def test_synth_rank_above_bands_is_config_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "synth", "--d", "5", "--n", "40", "--r", "6", "--out", str(tmp_path / "a.hsm1")

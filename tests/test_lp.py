@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 from conered.errors import DimensionMismatch, MaxIterations
 from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
+    _REFINE_TARGET,
     STATUS_OPTIMAL,
     LpProblem,
+    _assembled_stage,
     _kkt_matrix,
     _kkt_residual,
-    _kkt_stages,
     _NewtonSolver,
     solve_lp_ipm,
     write_lp_text,
@@ -162,14 +165,19 @@ def _normwise_residual(kkt, x, b):
     return np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max())
 
 
-def test_refined_symmetric_solve_matches_dense_solve():
+def _assembled_chain(kkt):
+    # the chain solve_lp_ipm runs without a first stage
+    return _NewtonSolver([partial(_assembled_stage, lambda: kkt)])
+
+
+def test_refined_pivoted_lu_solve_matches_dense_solve():
     rng = np.random.default_rng(83)
     prob = model_h_lp(build_model_h(rng.random((4, 39)), 4))
     nv = prob.c.size
     d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
     kkt = _kkt(prob.a_eq, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
+    solver = _assembled_chain(kkt)
     x = solver.solve(b)
     assert not solver.fell_back
     omega = _kkt_residual(kkt, abs(kkt), x, b)[1]
@@ -181,24 +189,25 @@ def test_refined_symmetric_solve_matches_dense_solve():
 
 @pytest.mark.parametrize("d0", [0.0, 1e-310])
 def test_kkt_with_vanishing_diagonal_is_solved(d0):
-    # an exact zero pivot makes SuperLU take the off-diagonal 1; a subnormal
-    # one is taken and its reciprocal overflows, so the solve must fall back
+    # a zero or subnormal diagonal entry: the pivoted LU takes the
+    # off-diagonal 1 as its pivot instead
     kkt = _kkt(sp.csr_matrix([[1.0, 1.0]]), np.array([d0, 1.0]), reg=0.0)
     b = np.array([1.0, 2.0, 3.0])
-    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
+    solver = _assembled_chain(kkt)
     x = solver.solve(b)
-    assert solver.fell_back == (d0 > 0.0)
+    assert not solver.fell_back
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
 
 def test_singular_diagonal_factorization_uses_pivoted_lu():
-    # SuperLU's symmetric mode reports this matrix singular; the pivoted LU
-    # (and the matrix, with determinant -2e40) is not
+    # a factorization on the diagonal meets an exactly singular pivot here;
+    # the pivoted LU (and the matrix, with determinant -2e40) does not
     kkt = sp.csc_matrix(np.array([[2.0, 2.0, 1e20], [2.0, 2.0, 0.0], [1e20, 0.0, 1e-300]]))
     b = np.array([1.0, 2.0, 3.0])
-    solver = _NewtonSolver(_kkt_stages(lambda: kkt))
-    assert solver.fell_back
+    solver = _assembled_chain(kkt)
     x = solver.solve(b)
+    assert not solver.fell_back
+    assert _kkt_residual(kkt, abs(kkt), x, b)[1] <= _REFINE_TARGET
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
 

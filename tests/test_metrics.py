@@ -20,7 +20,7 @@ from conered import (
 )
 from conered import metrics
 from conered.errors import KSmallerThanR, TooManyColumns
-from conered.lp import STATUS_OPTIMAL, _kkt_matrix, _kkt_stages, _NewtonSolver, _Unassembled, solve_lp_ipm
+from conered.lp import STATUS_OPTIMAL, _assembled_stage, _kkt_matrix, _NewtonSolver, _Unassembled, solve_lp_ipm
 from conered.metrics import _sign_pattern_stage, abundance_maxima, sign_pattern_lp
 
 from oracles import assignment_enumerate, rho_grid, sign_pattern_lp_stacked
@@ -54,7 +54,7 @@ def _rho_all_patterns(w):
     """rho as the minimum over every one of the 2^r sign patterns."""
     best = np.inf
     for signs in itertools.product((1.0, -1.0), repeat=w.shape[1]):
-        res = solve_lp_ipm(sign_pattern_lp(w * np.asarray(signs)[None, :]), tol=1e-10)
+        res = solve_lp_ipm(sign_pattern_lp(w * np.asarray(signs)[None, :]))
         assert res.status == STATUS_OPTIMAL
         best = min(best, res.objective)
     return max(best, 0.0)
@@ -128,7 +128,7 @@ def _sign_pattern_chain(ws, d, reg=1e-12):
     at = sp.csc_matrix(a_eq.T)
     kkt = _kkt_matrix(a_eq, at, d, reg)
     stage = partial(_sign_pattern_stage, ws, _Unassembled(a_eq, at), d, reg)
-    return _NewtonSolver([stage] + _kkt_stages(lambda: kkt)), _Unassembled(a_eq, at), kkt
+    return _NewtonSolver([stage, partial(_assembled_stage, lambda: kkt)]), _Unassembled(a_eq, at), kkt
 
 
 def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
@@ -163,8 +163,8 @@ def test_sign_pattern_stage_without_a_factor_uses_the_assembled_kkt():
 
 
 def test_sign_pattern_stage_keeps_iterations_on_rho_instance(monkeypatch):
-    # perfbench rho-patterns, seed 1: 64 LPs and 747 iterations, with 2
-    # pivoted-LU fallbacks on the assembled KKT alone
+    # perfbench rho-patterns, seed 1: 64 LPs and 747 iterations, as on the
+    # assembled KKT alone
     w = random_separable(d=50, n=7, r=7, seed=np.random.SeedSequence([1, 3]), noise_norm=0.0).w
     calls = []
 

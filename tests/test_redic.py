@@ -18,6 +18,7 @@ from conered.errors import (
     BadParameter,
     ConfigError,
     InsufficientColumns,
+    KSmallerThanR,
     NumericalBreakdown,
     RankTooLarge,
 )
@@ -142,6 +143,15 @@ def test_augmentation_needs_spare_columns():
     a = assemble(inst, 0.0)
     with pytest.raises(InsufficientColumns):
         redic(a, RedicConfig(r=3, p=2, seed=0, lam=9))
+
+
+def test_reduction_below_rank_names_the_reduction():
+    # a rank-2 image keeps 2 columns; the LP needs r = 3 of them
+    rng = np.random.default_rng(5)
+    a = rng.random((6, 2)) @ rng.dirichlet(np.ones(2), size=30).T
+    with pytest.raises(KSmallerThanR, match=r"\|K\| = 2 .* lam = 0 .* r = 3"):
+        redic(a, RedicConfig(r=3))
+    assert len(redic(a, RedicConfig(r=3, lam=1)).selected_indices[0]) == 3
 
 
 def test_model_hook_sees_each_repetition():
