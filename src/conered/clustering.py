@@ -71,16 +71,15 @@ def _lloyd(
     points: np.ndarray,
     centers: np.ndarray,
     max_iter: int = 100,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations with empty-cluster repair.
 
-    Returns (labels, centers, inertia history). The history is non-increasing:
-    each assignment, repair, and centroid update can only lower the
+    Returns (labels, centers). The inertia never rises from one iteration to
+    the next: each assignment, repair, and centroid update can only lower the
     within-cluster sum of squares.
     """
     p = centers.shape[0]
     labels = np.full(points.shape[0], -1, dtype=np.int64)
-    history: list[float] = []
     for _ in range(max_iter):
         d2 = _sq_dists(points, centers)
         new_labels = d2.argmin(axis=1)
@@ -98,11 +97,7 @@ def _lloyd(
         labels = new_labels
         for k in range(p):
             centers[k] = points[labels == k].mean(axis=0)
-        inertia = float(
-            ((points - centers[labels]) ** 2).sum()
-        )
-        history.append(inertia)
-    return labels, centers, history
+    return labels, centers
 
 
 def kmeans_partition(a, p: int, seed: int | np.random.SeedSequence) -> Partition:
@@ -130,7 +125,7 @@ def kmeans_partition(a, p: int, seed: int | np.random.SeedSequence) -> Partition
         labels = np.zeros(n, dtype=np.int64)
     else:
         centers = _kmeanspp_init(points, p, rng)
-        labels, _, _ = _lloyd(points, centers)
+        labels, _ = _lloyd(points, centers)
     groups = tuple(
         IndexSet(np.flatnonzero(labels == k)) for k in range(p)
     )

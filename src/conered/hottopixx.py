@@ -34,8 +34,8 @@ from .core import IndexSet, as_values
 from .errors import BadRank, DegenerateDiagonal, MaxIterations
 from .lp import STATUS_OPTIMAL, LpProblem, _epigraph_closed_form, _trace_bordered, solve_lp_ipm, write_lp_text
 
-# Feasibility tolerance for a solved X: the default of ``audit_model_h``
-# and the bound ``redic`` holds every LP solution to.
+# Feasibility tolerance for a solved X: the bound ``audit_model_h`` holds
+# every LP solution to.
 TOL_LP = 1e-7
 
 
@@ -49,31 +49,6 @@ class ModelH:
     @property
     def m(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def var_count(self) -> int:
-        """Model variables: the m^2 entries of X plus the q*m entries of T."""
-        return self.m * self.m + self.rows * self.m
-
-    @property
-    def constraint_counts(self) -> dict[str, int]:
-        """Constraint census by family (epigraph pairs, trace, bounds)."""
-        q, m = self.a.shape
-        return {
-            "epigraph": 2 * q * m,
-            "trace": 1,
-            "nonneg": m * m,
-            "coupling": m * m,
-            "diag_bound": m,
-        }
-
-    @property
-    def constraint_count(self) -> int:
-        return sum(self.constraint_counts.values())
 
 
 @dataclass(frozen=True)
@@ -184,11 +159,10 @@ def solve_model_h(model: ModelH) -> LpSolution:
 def _block_stage(a_dict, kkt, d_inv, reg):
     """The first stage of ``lp``'s Newton-solve chain for Model H.
 
-    ``kkt`` is the LP's ``lp._Unassembled`` matrix; its residual refines
-    ``_ModelHKkt``'s solves.
+    ``kkt`` is the LP's ``lp._Unassembled`` matrix. Returns
+    ``_ModelHKkt``'s solve, which the chain refines.
     """
-    blocks = _ModelHKkt(a_dict, kkt.a, kkt.at, d_inv, reg)
-    return blocks._solve_once, partial(kkt.residual, blocks.d, reg)
+    return _ModelHKkt(a_dict, kkt.a, kkt.at, d_inv, reg)._solve_once
 
 
 class _ModelHKkt:
@@ -226,8 +200,8 @@ class _ModelHKkt:
     2009).
 
     The constructor factors, and raises numpy's LinAlgError when a factor
-    is singular. ``lp``'s chain refines ``_solve_once`` against the
-    unassembled KKT and hands a stalled solve to its next stage.
+    is singular. The chain refines ``_solve_once`` and hands a stalled solve
+    to its next stage.
     """
 
     def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):
@@ -331,11 +305,12 @@ def _back_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def audit_model_h(model: ModelH, x_matrix: np.ndarray, tol: float = TOL_LP) -> dict:
+def audit_model_h(model: ModelH, x_matrix: np.ndarray) -> dict:
     """Check a candidate X against the model constraints, solver-free.
 
     Returns per-family worst violations plus the recomputed entrywise
-    objective; ``ok`` is True when every violation is within ``tol``.
+    objective; ``ok`` is True when every violation is within ``TOL_LP``
+    (the trace's relative to max(1, r)).
     """
     x = np.asarray(x_matrix, dtype=np.float64)
     m = model.m
@@ -350,10 +325,10 @@ def audit_model_h(model: ModelH, x_matrix: np.ndarray, tol: float = TOL_LP) -> d
         "objective": float(np.abs(model.a - model.a @ x).sum()),
     }
     report["ok"] = (
-        report["nonneg"] <= tol
-        and report["coupling"] <= tol
-        and report["diag_bound"] <= tol
-        and report["trace"] <= tol * max(1.0, float(model.r))
+        report["nonneg"] <= TOL_LP
+        and report["coupling"] <= TOL_LP
+        and report["diag_bound"] <= TOL_LP
+        and report["trace"] <= TOL_LP * max(1.0, float(model.r))
     )
     return report
 

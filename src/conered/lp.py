@@ -10,18 +10,18 @@ form
     [      A      reg I ] [dy] = [ rp ]
 
 Each iteration's solves go through one chain of stages (``_NewtonSolver``),
-each a way to factor the system. The first stage that factors serves, and
-every solve is refined against the unfactored matrix until its componentwise
-backward error is a few machine epsilons (Arioli, Demmel & Duff 1989). A
-solve whose refinement stalls above ``_REFINE_ACCEPT`` is redone by the next
-stage, which serves the rest of the iteration; this happens near
-convergence, where D spans twenty orders of magnitude. The chain ends with
-one stage on the assembled matrix, a partially pivoted LU
+each a way to factor the system and nothing more. The first stage that
+factors serves. The chain refines every solve, whichever stage made it,
+against the LP's one unassembled matrix (``_Unassembled``) until its
+componentwise backward error is a few machine epsilons (Arioli, Demmel &
+Duff 1989). A solve whose refinement stalls above ``_REFINE_ACCEPT`` is
+redone by the next stage, which serves the rest of the iteration; this
+happens near convergence, where D spans twenty orders of magnitude. The
+chain ends with one stage on the assembled matrix, a partially pivoted LU
 (``_assembled_stage``). A caller that knows its problem's structure heads
 the chain with its own stage through the private ``_first_stage`` keyword:
 ``hottopixx`` does for Model H, and ``metrics`` for ``rho``'s sign-pattern
-LPs. Such a stage refines against the unassembled matrix (``_Unassembled``).
-Both LPs' epigraph rows eliminate by one closed form
+LPs. Both LPs' epigraph rows eliminate by one closed form
 (``_epigraph_closed_form``), and one solve (``_trace_bordered``) borders
 both reduced matrices with the trace row.
 ``LpResult.fallbacks`` counts the iterations served by a stage after the
@@ -91,20 +91,20 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
 
     Converges when the scaled primal/dual residuals and the relative duality
     gap all drop below ``_TOL``. Raises NumericalBreakdown on non-finite
-    iterates or an unfactorable Newton system.
+    iterates or an unfactorable Newton system. LPs without finite upper
+    bounds run the same code, on empty bound terms.
 
     ``_first_stage(kkt, d_inv, reg)``, when given, heads each iteration's
     chain of Newton-solve stages (``_NewtonSolver``), before the assembled
-    KKT; ``kkt`` is the LP's ``_Unassembled`` matrix. ``hottopixx`` and
-    ``metrics.rho`` pass stages that exploit their LPs' structure. Without
-    one, every iteration factors the assembled KKT by a pivoted LU.
+    KKT; ``kkt`` is the LP's ``_Unassembled`` matrix, whose residual refines
+    every stage's solves. ``hottopixx`` and ``metrics.rho`` pass stages that
+    exploit their LPs' structure. Without one, every iteration factors the
+    assembled KKT by a pivoted LU.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
-    unassembled = _Unassembled(A, AT) if _first_stage else None
-    c = prob.c
-    b = prob.b_eq
-    ub = prob.ub
+    unassembled = _Unassembled(A, AT)
+    c, b, ub = prob.c, prob.b_eq, prob.ub
     neq, nv = A.shape
     bd = np.isfinite(ub)
     nb = int(bd.sum())
@@ -116,9 +116,9 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
     z = np.ones(nv)
     q = np.ones(nb)
 
-    bnorm = 1.0 + float(np.linalg.norm(b, np.inf)) if neq else 1.0
-    cnorm = 1.0 + float(np.linalg.norm(c, np.inf))
-    unorm = 1.0 + (float(np.linalg.norm(ubf, np.inf)) if nb else 0.0)
+    bnorm = 1.0 + _max_abs(b)
+    cnorm = 1.0 + _max_abs(c)
+    unorm = 1.0 + _max_abs(ubf)
 
     status = STATUS_ITERATION_LIMIT
     it = 0
@@ -130,22 +130,20 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
         rp = b - A @ x
         ru = ubf - x[bd] - w
         rd = c - AT @ y - z + qf
-        gap = float(x @ z + (w @ q if nb else 0.0))
+        gap = float(x @ z + w @ q)
         mu = gap / (nv + nb)
         pobj = float(c @ x)
-        dobj = float(b @ y - (ubf @ q if nb else 0.0))
+        dobj = float(b @ y - ubf @ q)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        rpn = float(np.linalg.norm(rp, np.inf)) / bnorm if neq else 0.0
-        rdn = float(np.linalg.norm(rd, np.inf)) / cnorm
-        run = (float(np.linalg.norm(ru, np.inf)) / unorm) if nb else 0.0
+        rpn = _max_abs(rp) / bnorm
+        rdn = _max_abs(rd) / cnorm
+        run = _max_abs(ru) / unorm
         if max(rpn, rdn, run, relgap) <= _TOL:
             status = STATUS_OPTIMAL
             break
 
         d_inv = z / x
-        if nb:
-            d_inv = d_inv.copy()
-            d_inv[bd] += q / w
+        d_inv[bd] += q / w
 
         solver = None
         reg = 1e-12
@@ -153,7 +151,7 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
             stages = [partial(_first_stage, unassembled, d_inv, reg)] if _first_stage else []
             stages.append(partial(_assembled_stage, partial(_kkt_matrix, A, AT, d_inv, reg)))
             try:
-                solver = _NewtonSolver(stages)
+                solver = _NewtonSolver(stages, partial(unassembled.residual, d_inv + reg, reg))
             except RuntimeError:
                 reg *= 1e4
                 if reg > 1e-2:
@@ -161,15 +159,12 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
 
         def newton(rxz, rwq):
             rhat = rd - rxz / x
-            if nb:
-                rhat = rhat.copy()
-                rhat[bd] += (rwq - q * ru) / w
+            rhat[bd] += (rwq - q * ru) / w
             sol = solver.solve(np.concatenate([rhat, rp]))
-            dx = sol[:nv]
-            dy = sol[nv:]
+            dx, dy = sol[:nv], sol[nv:]
             dz = (rxz - z * dx) / x
             dw = ru - dx[bd]
-            dq = (rwq - q * dw) / w if nb else np.zeros(0)
+            dq = (rwq - q * dw) / w
             return dx, dy, dz, dw, dq
 
         def max_step(v, dv):
@@ -179,24 +174,21 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
             return min(1.0, float((v[neg] / -dv[neg]).min()))
 
         # predictor
-        dxa, dya, dza, dwa, dqa = newton(-x * z, -(w * q) if nb else np.zeros(0))
-        ap = min(max_step(x, dxa), max_step(w, dwa) if nb else 1.0)
-        ad = min(max_step(z, dza), max_step(q, dqa) if nb else 1.0)
+        dxa, dya, dza, dwa, dqa = newton(-x * z, -(w * q))
+        ap = min(max_step(x, dxa), max_step(w, dwa))
+        ad = min(max_step(z, dza), max_step(q, dqa))
         mu_aff = (
-            float((x + ap * dxa) @ (z + ad * dza))
-            + (float((w + ap * dwa) @ (q + ad * dqa)) if nb else 0.0)
+            float((x + ap * dxa) @ (z + ad * dza)) + float((w + ap * dwa) @ (q + ad * dqa))
         ) / (nv + nb)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector (total direction)
         dx, dy, dz, dw, dq = newton(
             sigma * mu - x * z - dxa * dza,
-            (sigma * mu - w * q - dwa * dqa) if nb else np.zeros(0),
+            sigma * mu - w * q - dwa * dqa,
         )
-        ap = 0.9995 * min(max_step(x, dx), max_step(w, dw) if nb else 1.0)
-        ad = 0.9995 * min(max_step(z, dz), max_step(q, dq) if nb else 1.0)
-        ap = min(1.0, ap)
-        ad = min(1.0, ad)
+        ap = 0.9995 * min(max_step(x, dx), max_step(w, dw))
+        ad = 0.9995 * min(max_step(z, dz), max_step(q, dq))
         fallbacks += solver.fell_back
 
         x = x + ap * dx
@@ -230,23 +222,23 @@ def _kkt_matrix(a, at, d_inv, reg: float) -> sp.csc_matrix:
     )
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """The largest |v_i|, and 0 for an empty v."""
+    return float(np.abs(v).max(initial=0.0))
+
+
 def _assembled_stage(build_kkt):
     """The chain's last stage: a partially pivoted LU of the assembled KKT,
     which ``build_kkt()`` builds only when the chain reaches this stage."""
-    kkt = build_kkt()
-    return splu(kkt).solve, partial(_kkt_residual, kkt, abs(kkt))
-
-
-def _kkt_residual(kkt, abs_kkt, x, rhs):
-    r = rhs - kkt @ x
-    return r, _backward_error(r, abs_kkt @ np.abs(x) + np.abs(rhs))
+    return splu(build_kkt()).solve
 
 
 class _Unassembled:
     """One LP's augmented matrix [[-diag, A'], [A, reg I]], never assembled.
 
-    |A| and |A'| are built once per LP; a first stage refines its solves
-    with ``residual``, where ``diag`` is D + reg, the iteration's diagonal.
+    |A| and |A'| are built once per LP. ``residual``, with ``diag`` the
+    iteration's D + reg, is the one measure the chain refines every stage's
+    solves against.
     """
 
     def __init__(self, a, at):
@@ -254,13 +246,14 @@ class _Unassembled:
         self.abs_a, self.abs_at = abs(a), abs(at)
 
     def residual(self, diag: np.ndarray, reg: float, x: np.ndarray, rhs: np.ndarray):
-        """The residual rhs - K x and its componentwise backward error."""
+        """The residual rhs - K x and its componentwise backward error, on
+        the scale |K||x| + |rhs| whatever the sign of ``diag``."""
         nv = diag.size
         dx, dy = x[:nv], x[nv:]
         kx = np.concatenate([self.at @ dy - diag * dx, self.a @ dx + reg * dy])
         abs_dx, abs_dy = np.abs(dx), np.abs(dy)
         scale = np.concatenate(
-            [self.abs_at @ abs_dy + diag * abs_dx, self.abs_a @ abs_dx + reg * abs_dy]
+            [self.abs_at @ abs_dy + np.abs(diag) * abs_dx, self.abs_a @ abs_dx + reg * abs_dy]
         )
         r = rhs - kx
         return r, _backward_error(r, scale + np.abs(rhs))
@@ -308,20 +301,23 @@ def _trace_bordered(root: np.ndarray, reg: float):
 class _NewtonSolver:
     """One iteration's Newton solves, served by a chain of stages.
 
-    A stage is a callable returning a ``(solve, residual)`` pair:
-    ``solve(rhs)`` applies a factorization, and ``residual(x, rhs)`` returns
-    the residual against the unfactored system and its componentwise backward
-    error. A stage raises RuntimeError or numpy's LinAlgError when it cannot
-    factor. The first stage that factors serves; the constructor raises
-    RuntimeError when none does. Every solve is refined. One whose backward
-    error stays above ``_REFINE_ACCEPT`` is redone by the next stage that
-    factors, which serves the rest of the iteration, and the answer with the
-    smaller error is kept (the earlier one on a tie). ``fell_back`` is True
-    once a stage after the first serves.
+    A stage is a callable that factors the system and returns its
+    ``solve(rhs)``, or raises RuntimeError or numpy's LinAlgError when it
+    cannot factor. ``residual(x, rhs)``, the residual of x against the
+    unfactored system and its componentwise backward error, is the chain's:
+    every stage's solves are refined and compared by it, so a stage that
+    factors a perturbed matrix is still refined against the system itself.
+    The first stage that factors serves; the constructor raises RuntimeError
+    when none does. A solve whose backward error stays above
+    ``_REFINE_ACCEPT`` is redone by the next stage that factors, which serves
+    the rest of the iteration, and the answer with the smaller error is kept
+    (the earlier one on a tie). ``fell_back`` is True once a stage after the
+    first serves.
     """
 
-    def __init__(self, stages):
+    def __init__(self, stages, residual):
         self._stages = enumerate(stages)
+        self._residual = residual
         self._serving = self._next_stage()
         if self._serving is None:
             raise RuntimeError("no stage can factor the Newton system")
@@ -329,21 +325,21 @@ class _NewtonSolver:
     def _next_stage(self):
         for index, stage in self._stages:
             try:
-                pair = stage()
+                solve = stage()
             except (RuntimeError, np.linalg.LinAlgError):
                 continue
             self.fell_back = index > 0
-            return pair
+            return solve
         return None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, omega = _refine(*self._serving, rhs)
+        x, omega = _refine(self._serving, self._residual, rhs)
         while omega > _REFINE_ACCEPT:
-            pair = self._next_stage()
-            if pair is None:
+            solve = self._next_stage()
+            if solve is None:
                 break
-            self._serving = pair
-            x_next, omega_next = _refine(*pair, rhs)
+            self._serving = solve
+            x_next, omega_next = _refine(solve, self._residual, rhs)
             if omega_next < omega:
                 x, omega = x_next, omega_next
         return x

@@ -108,8 +108,8 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
     no sparse factorization.
 
     Raises numpy's LinAlgError when the factor is singular (or D is
-    indefinite), so the chain falls back to the assembled KKT. Solves are
-    refined against ``kkt``, the LP's unassembled matrix.
+    indefinite), so the chain falls back to the assembled KKT. Returns the
+    solve, which the chain refines; ``kkt`` is not read.
     """
     d, r = ws.shape
     diag = d_inv + reg
@@ -143,7 +143,7 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
             [dy_trace],
         ])
 
-    return solve, partial(kkt.residual, diag, reg)
+    return solve
 
 
 def reconstruction_error(ap, k: IndexSet) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .core import as_values
-from .errors import DimensionMismatch, MaxIterations, NonFiniteInput, NumericalBreakdown
+from .errors import BadParameter, DimensionMismatch, MaxIterations, NonFiniteInput, NumericalBreakdown
 
 _EPS = float(np.finfo(np.float64).eps)
 _gelsy, _gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), (np.empty((1, 1)),))
@@ -191,8 +191,11 @@ def nnls_solve(b_mat, y) -> NnlsResult:
 def cone_membership(dictionary, target, eps_feas: float = 1e-8) -> tuple[bool, NnlsResult]:
     """Test whether ``target`` lies in the cone of the dictionary columns.
 
-    Membership means the NNLS residual is strictly below ``eps_feas``. The
+    Membership means the NNLS residual is strictly below ``eps_feas``, which
+    must be a positive finite number (BadParameter otherwise). The
     NnlsResult is returned alongside so callers can reuse the residual.
     """
+    if not 0.0 < eps_feas < math.inf:
+        raise BadParameter(f"eps_feas must be a positive finite number, got {eps_feas}")
     res = nnls_solve(as_values(dictionary), target)
     return res.residual_norm < eps_feas, res

@@ -27,7 +27,6 @@ from .errors import (
     RankTooLarge,
 )
 from .hottopixx import (
-    TOL_LP,
     audit_model_h,
     build_model_h,
     postprocess_method_c,
@@ -106,7 +105,8 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
     ``model_hook``, when given, is called as hook(rep_index, model) with
     each repetition's LP model before it is solved (used for LP export).
     Every LP solution is audited against the model's constraints before
-    method C reads it; a violation over ``TOL_LP`` raises NumericalBreakdown.
+    method C reads it; a violation over ``hottopixx.TOL_LP`` raises
+    NumericalBreakdown.
     """
     arr = as_values(a)
     d, n = arr.shape
@@ -133,16 +133,13 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
     sels: list[np.ndarray] = []
     for j in range(cfg.tau):
         rng = np.random.default_rng(streams[j + 1])
-        if cfg.lam > 0:
-            extra = rng.choice(outside, size=cfg.lam, replace=False)
-            sub = np.unique(np.concatenate([k.indices, extra]))
-        else:
-            sub = k.indices
+        extra = rng.choice(outside, size=cfg.lam, replace=False)
+        sub = np.unique(np.concatenate([k.indices, extra]))
         model = build_model_h(ap[:, sub], cfg.r)
         if model_hook is not None:
             model_hook(j, model)
         sol = solve_model_h(model)
-        audit = audit_model_h(model, sol.x_matrix, tol=TOL_LP)
+        audit = audit_model_h(model, sol.x_matrix)
         if not audit["ok"]:
             family = max(_AUDIT_FAMILIES, key=audit.get)
             raise NumericalBreakdown(
@@ -156,7 +153,7 @@ def redic(a, cfg: RedicConfig, model_hook=None) -> EndmemberEstimate:
         reps.append(arr[:, orig])
         sels.append(orig)
 
-    w_hat = reps[0] if cfg.tau == 1 else np.mean(reps, axis=0)
+    w_hat = np.mean(reps, axis=0)
     return EndmemberEstimate(
         w_hat=w_hat,
         per_rep=tuple(reps),

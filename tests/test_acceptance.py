@@ -185,7 +185,7 @@ def test_criterion_5_model_h_solver_equivalence():
         simplex = simplex_model_h(model)
         worst_gap = max(worst_gap, abs(ipm.objective - simplex.objective))
         for sol in (ipm, simplex):
-            if not audit_model_h(model, sol.x_matrix, tol=1e-7)["ok"]:
+            if not audit_model_h(model, sol.x_matrix)["ok"]:
                 audits_ok = False
     ok = worst_gap <= 1e-7 and audits_ok
     report(

@@ -74,7 +74,16 @@ def test_inertia_history_non_increasing():
     rng = np.random.default_rng(5)
     points = rng.random((40, 3))
     centers = _kmeanspp_init(points, 5, np.random.default_rng(6))
-    labels, final_centers, history = _lloyd(points, centers.copy())
+    labels, _ = _lloyd(points, centers.copy())
+    # the inertia after k iterations, for each k until the labels settle
+    history, previous = [], None
+    for k in range(1, 101):
+        labels_k, _ = _lloyd(points, centers.copy(), max_iter=k)
+        if np.array_equal(labels_k, previous):
+            break
+        history.append(kmeans_inertia(points.T, labels_k))
+        previous = labels_k
+    assert len(history) > 1
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
     assert kmeans_inertia(points.T, labels) == pytest.approx(history[-1], abs=1e-9)
 

@@ -25,24 +25,6 @@ from conered.lp import _assembled_stage, _kkt_matrix, _NewtonSolver, _Unassemble
 from oracles import model_h_lp_loop, simplex_model_h
 
 
-def test_variable_count_small():
-    model = build_model_h(np.ones((2, 2)), 1)
-    assert model.var_count == 8  # 4 entries of X plus a 2x2 epigraph block
-
-
-def test_variable_and_constraint_census():
-    a = np.random.default_rng(0).random((4, 10))
-    model = build_model_h(a, 3)
-    assert model.var_count == 140
-    assert model.constraint_counts == {
-        "epigraph": 80,
-        "trace": 1,
-        "nonneg": 100,
-        "coupling": 100,
-        "diag_bound": 10,
-    }
-
-
 def test_lp_encoding_shapes():
     a = np.random.default_rng(1).random((3, 4))
     model = build_model_h(a, 2)
@@ -194,9 +176,13 @@ def _kkt_parts(a, d, reg=1e-12):
 
 
 def _model_h_chain(a, a_eq, at, d, kkt, reg=1e-12):
-    # the chain solve_model_h gives solve_lp_ipm: the block solve, then the KKT
-    stage = partial(_block_stage, a, _Unassembled(a_eq, at), d, reg)
-    return _NewtonSolver([stage, partial(_assembled_stage, lambda: kkt)])
+    # the chain solve_model_h gives solve_lp_ipm: the block solve, then the
+    # KKT, both refined against the unassembled KKT
+    unassembled = _Unassembled(a_eq, at)
+    stage = partial(_block_stage, a, unassembled, d, reg)
+    return _NewtonSolver(
+        [stage, partial(_assembled_stage, lambda: kkt)], partial(unassembled.residual, d + reg, reg)
+    )
 
 
 def test_block_solve_matches_dense_solve_over_twenty_decades():

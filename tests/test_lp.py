@@ -5,17 +5,20 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from conered.errors import DimensionMismatch, MaxIterations
 from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
+    _REFINE_ACCEPT,
     _REFINE_TARGET,
     STATUS_OPTIMAL,
     LpProblem,
     _assembled_stage,
+    _backward_error,
     _kkt_matrix,
-    _kkt_residual,
     _NewtonSolver,
+    _Unassembled,
     solve_lp_ipm,
     write_lp_text,
 )
@@ -165,9 +168,15 @@ def _normwise_residual(kkt, x, b):
     return np.abs(r).max() / (knorm * np.abs(x).max() + np.abs(b).max())
 
 
+def _assembled_residual(kkt, x, rhs):
+    r = rhs - kkt @ x
+    return r, _backward_error(r, abs(kkt) @ np.abs(x) + np.abs(rhs))
+
+
 def _assembled_chain(kkt):
-    # the chain solve_lp_ipm runs without a first stage
-    return _NewtonSolver([partial(_assembled_stage, lambda: kkt)])
+    # the chain solve_lp_ipm runs without a first stage, refined against the
+    # assembled matrix, since some of these matrices are not KKTs
+    return _NewtonSolver([partial(_assembled_stage, lambda: kkt)], partial(_assembled_residual, kkt))
 
 
 def test_refined_pivoted_lu_solve_matches_dense_solve():
@@ -180,7 +189,7 @@ def test_refined_pivoted_lu_solve_matches_dense_solve():
     solver = _assembled_chain(kkt)
     x = solver.solve(b)
     assert not solver.fell_back
-    omega = _kkt_residual(kkt, abs(kkt), x, b)[1]
+    omega = _assembled_residual(kkt, x, b)[1]
     assert omega <= 1e-13
     dense = np.linalg.solve(kkt.toarray(), b)
     assert _normwise_residual(kkt, x, b) <= 1e-13
@@ -207,12 +216,51 @@ def test_singular_diagonal_factorization_uses_pivoted_lu():
     solver = _assembled_chain(kkt)
     x = solver.solve(b)
     assert not solver.fell_back
-    assert _kkt_residual(kkt, abs(kkt), x, b)[1] <= _REFINE_TARGET
+    assert _assembled_residual(kkt, x, b)[1] <= _REFINE_TARGET
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
 
-def _fake_stage(value, omega, log):
-    # a stage whose solve returns `value` everywhere at backward error `omega`
+def test_unassembled_residual_matches_the_assembled_kkt_with_a_negative_diagonal():
+    # the instance of hottopixx's no-factor test: D has entries of both signs,
+    # and the scale is |K||x| + |b| with |K|'s diagonal |D + reg|
+    rng = np.random.default_rng(84)
+    a_eq = model_h_lp(build_model_h(rng.random((3, 6)), 4)).a_eq
+    d = np.ones(a_eq.shape[1])
+    d[:36] = 1e6
+    d[54:72] = -1.0
+    kkt = _kkt(a_eq, d)
+    x = rng.standard_normal(kkt.shape[0])
+    b = rng.standard_normal(kkt.shape[0])
+    r, omega = _Unassembled(a_eq, sp.csc_matrix(a_eq.T)).residual(d + 1e-12, 1e-12, x, b)
+    r_kkt, omega_kkt = _assembled_residual(kkt, x, b)
+    scale = abs(kkt) @ np.abs(x) + np.abs(b)
+    assert np.all(np.abs(r - r_kkt) <= 4.0 * _REFINE_TARGET * scale)
+    assert omega == pytest.approx(omega_kkt, rel=1e-12)
+
+
+def test_chain_refines_a_perturbed_stage_against_the_unperturbed_kkt():
+    # a stage that factors K + 1e-8 diag(-I, +I), as a regularized stage
+    # would, answers to about 1e-5; the chain's residual is K's, so
+    # refinement brings it to the target without the next stage
+    rng = np.random.default_rng(83)
+    a_eq = model_h_lp(build_model_h(rng.random((4, 39)), 4)).a_eq
+    neq, nv = a_eq.shape
+    d = 10.0 ** rng.uniform(-4.0, 4.0, nv)
+    kkt = _kkt(a_eq, d)
+    perturbed = splu((kkt + sp.diags(np.repeat([-1e-8, 1e-8], [nv, neq]))).tocsc())
+    residual = partial(_Unassembled(a_eq, sp.csc_matrix(a_eq.T)).residual, d + 1e-12, 1e-12)
+    b = rng.standard_normal(kkt.shape[0])
+    assert residual(perturbed.solve(b), b)[1] > _REFINE_ACCEPT
+    solver = _NewtonSolver([lambda: perturbed.solve, partial(_assembled_stage, lambda: kkt)], residual)
+    x = solver.solve(b)
+    assert not solver.fell_back
+    assert residual(x, b)[1] <= _REFINE_TARGET
+    dense = np.linalg.solve(kkt.toarray(), b)
+    assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
+
+
+def _fake_stage(value, log):
+    # a stage whose solve returns `value` everywhere
     def factor():
         log.append(("factor", value))
 
@@ -220,9 +268,15 @@ def _fake_stage(value, omega, log):
             log.append(("solve", value))
             return np.full(rhs.shape, value)
 
-        return solve, lambda x, rhs: (np.zeros_like(rhs), omega)
+        return solve
 
     return factor
+
+
+def _fake_residual(omegas):
+    # the backward error omegas[v] for an answer equal to v everywhere, and
+    # inf for any other answer (such as a refinement step's sum)
+    return lambda x, rhs: (np.zeros_like(rhs), omegas.get(float(x[0]), np.inf))
 
 
 def _failing_stage(log):
@@ -236,13 +290,13 @@ def _failing_stage(log):
 def test_chain_without_a_stage_that_factors_raises():
     log = []
     with pytest.raises(RuntimeError):
-        _NewtonSolver([_failing_stage(log), _failing_stage(log)])
+        _NewtonSolver([_failing_stage(log), _failing_stage(log)], _fake_residual({}))
     assert log == [("factor", None)] * 2
 
 
 def test_chain_keeps_its_stage_when_the_next_cannot_factor():
     log = []
-    solver = _NewtonSolver([_fake_stage(1.0, 1e-6, log), _failing_stage(log)])
+    solver = _NewtonSolver([_fake_stage(1.0, log), _failing_stage(log)], _fake_residual({1.0: 1e-6}))
     assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
     assert not solver.fell_back
     assert log[-1] == ("factor", None)
@@ -256,7 +310,9 @@ def test_chain_keeps_its_stage_when_the_next_cannot_factor():
 def test_chain_keeps_the_better_answer_but_moves_to_the_next_stage(later_omega):
     # both stages stall above _REFINE_ACCEPT; the later one is worse or tied
     log = []
-    solver = _NewtonSolver([_fake_stage(1.0, 1e-8, log), _fake_stage(2.0, later_omega, log)])
+    solver = _NewtonSolver(
+        [_fake_stage(1.0, log), _fake_stage(2.0, log)], _fake_residual({1.0: 1e-8, 2.0: later_omega})
+    )
     assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
     assert solver.fell_back
     assert ("solve", 2.0) in log

@@ -123,12 +123,15 @@ def test_sign_pattern_lp_matches_stacked_reference():
 
 
 def _sign_pattern_chain(ws, d, reg=1e-12):
-    # the chain rho gives solve_lp_ipm: the sign-pattern stage, then the KKT
+    # the chain rho gives solve_lp_ipm: the sign-pattern stage, then the KKT,
+    # both refined against the unassembled KKT
     a_eq = sign_pattern_lp(ws).a_eq
     at = sp.csc_matrix(a_eq.T)
     kkt = _kkt_matrix(a_eq, at, d, reg)
-    stage = partial(_sign_pattern_stage, ws, _Unassembled(a_eq, at), d, reg)
-    return _NewtonSolver([stage, partial(_assembled_stage, lambda: kkt)]), _Unassembled(a_eq, at), kkt
+    unassembled = _Unassembled(a_eq, at)
+    stage = partial(_sign_pattern_stage, ws, unassembled, d, reg)
+    residual = partial(unassembled.residual, d + reg, reg)
+    return _NewtonSolver([stage, partial(_assembled_stage, lambda: kkt)], residual), unassembled, kkt
 
 
 def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():

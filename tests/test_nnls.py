@@ -13,15 +13,18 @@ from scipy.linalg import lstsq
 import conered
 import conered.reduction
 from conered import (
+    IndexSet,
     InputFormatError,
     assemble,
     cone_membership,
+    dr,
     drs,
     nnls_solve,
     random_separable,
     reduce_dimension,
+    verify_gamma,
 )
-from conered.errors import MaxIterations, NonFiniteInput, NumericalBreakdown
+from conered.errors import BadParameter, MaxIterations, NonFiniteInput, NumericalBreakdown
 from conered.nnls import _lstsq_gelsy
 
 from oracles import nnls_enumerate, nnls_lstsq_reference
@@ -133,6 +136,25 @@ def test_membership_threshold_is_strict():
     assert res.residual_norm == pytest.approx(1e-9, rel=1e-6)
     member2, _ = cone_membership(basis, target, eps_feas=1e-9)
     assert not member2
+
+
+@pytest.mark.parametrize("eps_feas", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, e: cone_membership(a[:, 1:], a[:, 0], eps_feas=e),
+        lambda a, e: dr(a, eps_feas=e),
+        lambda a, e: drs(a, 5, eps_feas=e),
+        lambda a, e: verify_gamma(a, IndexSet(np.arange(10)), eps_feas=e),
+    ],
+    ids=["cone_membership", "dr", "drs", "verify_gamma"],
+)
+def test_eps_feas_must_be_positive_and_finite(call, eps_feas):
+    # unchecked, NaN, 0 and -1 read every column as outside the cone (drs
+    # keeps all 200 columns) and inf reads every one inside (drs keeps 1)
+    a = reduce_dimension(assemble(random_separable(20, 200, 3, seed=7), 0.1).values, 3)
+    with pytest.raises(BadParameter):
+        call(a, eps_feas)
 
 
 def test_duplicate_columns_are_fine():
