@@ -13,13 +13,13 @@ largest diagonal entries as seeds, group every column with the seed that
 explains it best, and return each group's most central member.
 
 ``solve_model_h`` runs ``lp``'s interior-point method on the standard form
-of ``model_h_lp``, and heads ``lp``'s chain of Newton-solve stages with one
-that uses the model's structure (``_ModelHKkt``): X's columns are independent
-blocks joined only by diag(X) and the trace row, so each iteration factors
-one q x q matrix per column and one m x m Schur complement on diag(X), and no
-sparse matrix. When that stage cannot factor or its refinement stalls, the
-chain's last stage, a pivoted LU of the assembled KKT, takes the iteration
-over, and ``LpSolution.fallbacks`` counts it.
+of ``model_h_lp``, with a Newton-solve stage that uses the model's structure
+(``_ModelHKkt``): X's columns are independent blocks joined only by diag(X)
+and the trace row, so each iteration factors one q x q matrix per column and
+one m x m Schur complement on diag(X), and no sparse matrix. When that stage
+cannot factor or its refinement stalls, ``lp``'s chain retries it at a
+larger regularization for the rest of the iteration, and
+``LpSolution.fallbacks`` counts it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class LpSolution:
     """Solved model: X, the attained objective 1'T1, and the solver status.
 
     ``fallbacks`` counts the iterations whose Newton system went to the
-    assembled KKT's pivoted LU instead of the block solve.
+    block solve's retry at a larger regularization.
     """
 
     x_matrix: np.ndarray
@@ -141,7 +141,7 @@ def solve_model_h(model: ModelH) -> LpSolution:
 
     Raises MaxIterations when the solver stops at its iteration cap.
     """
-    res = solve_lp_ipm(model_h_lp(model), _first_stage=partial(_block_stage, model.a))
+    res = solve_lp_ipm(model_h_lp(model), partial(_block_stage, model.a))
     if res.status != STATUS_OPTIMAL:
         raise MaxIterations("LP solve hit its iteration limit before converging")
     m = model.m
@@ -157,7 +157,7 @@ def solve_model_h(model: ModelH) -> LpSolution:
 
 
 def _block_stage(a_dict, kkt, d_inv, reg):
-    """The first stage of ``lp``'s Newton-solve chain for Model H.
+    """``lp``'s Newton-solve stage for Model H.
 
     ``kkt`` is the LP's ``lp._Unassembled`` matrix. Returns
     ``_ModelHKkt``'s solve, which the chain refines.
@@ -201,7 +201,7 @@ class _ModelHKkt:
 
     The constructor factors, and raises numpy's LinAlgError when a factor
     is singular. The chain refines ``_solve_once`` and hands a stalled solve
-    to its next stage.
+    to its retry at a larger reg.
     """
 
     def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):

@@ -9,23 +9,23 @@ form
     [ -(D + reg I)   A' ] [dx]   [rhat]
     [      A      reg I ] [dy] = [ rp ]
 
-Each iteration's solves go through one chain of stages (``_NewtonSolver``),
-each a way to factor the system and nothing more. The first stage that
-factors serves. The chain refines every solve, whichever stage made it,
-against the LP's one unassembled matrix (``_Unassembled``) until its
-componentwise backward error is a few machine epsilons (Arioli, Demmel &
-Duff 1989). A solve whose refinement stalls above ``_REFINE_ACCEPT`` is
-redone by the next stage, which serves the rest of the iteration; this
-happens near convergence, where D spans twenty orders of magnitude. The
-chain ends with one stage on the assembled matrix, a partially pivoted LU
-(``_assembled_stage``). A caller that knows its problem's structure heads
-the chain with its own stage through the private ``_first_stage`` keyword:
-``hottopixx`` does for Model H, and ``metrics`` for ``rho``'s sign-pattern
-LPs. Both LPs' epigraph rows eliminate by one closed form
+The caller supplies the stage that factors this system, one that knows its
+LP's structure: ``hottopixx`` does for Model H, and ``metrics`` for
+``rho``'s sign-pattern LPs. Each iteration's solves go through a chain of
+two stages (``_NewtonSolver``): that stage at reg, then the same stage at
+reg + ``_RETRY_REG``. The first that factors serves. The chain refines every
+solve, whichever stage made it, against the LP's one unassembled matrix at
+reg (``_Unassembled``) until its componentwise backward error is a few
+machine epsilons (Arioli, Demmel & Duff 1989), so the retry's larger
+regularization perturbs the factor and not the answer (Altman & Gondzio
+1999; Friedlander & Orban 2012). A solve whose refinement stalls above
+``_REFINE_ACCEPT`` is redone by the retry, which serves the rest of the
+iteration; this happens near convergence, where D spans twenty orders of
+magnitude. Both LPs' epigraph rows eliminate by one closed form
 (``_epigraph_closed_form``), and one solve (``_trace_bordered``) borders
 both reduced matrices with the trace row.
-``LpResult.fallbacks`` counts the iterations served by a stage after the
-first. The solver is deterministic.
+``LpResult.fallbacks`` counts the iterations served by the retry. The solver
+is deterministic.
 
 ``write_lp_text`` exports a problem in the plain-text LP file format, so an
 external solver can check it.
@@ -39,7 +39,6 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve
-from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, NumericalBreakdown
 
@@ -50,8 +49,16 @@ _EPS = float(np.finfo(np.float64).eps)
 _TOL = 1e-10  # convergence: scaled residuals and relative gap all below this
 # Refinement stops at this componentwise backward error ...
 _REFINE_TARGET = 4.0 * _EPS
-# ... and a solve that stalls above this one is redone by the next stage.
+# ... and a solve that stalls above this one is redone by the retry.
 _REFINE_ACCEPT = 4096.0 * _EPS
+# The regularization of every Newton system, and what the chain's second
+# stage, the retry, adds to it. On extract-lp's seeds 1-12 (72 Model H LPs,
+# 30 of which reach the retry), 1e-10, 1e-8 and 1e-6 all gave the same
+# picks, iteration counts and fallbacks, and objectives within 3.4e-14
+# relative of a retry by a pivoted LU of the assembled KKT, so the middle
+# one is kept.
+_REG = 1e-12
+_RETRY_REG = 1e-8
 
 
 @dataclass
@@ -81,25 +88,25 @@ class LpResult:
     status: str
     iterations: int
     gap: float
-    # Iterations in which the first Newton-solve stage stalled or could not
-    # factor, and a later stage took over.
+    # Iterations in which the stage at reg stalled or could not factor, and
+    # its retry at reg + _RETRY_REG took over.
     fallbacks: int = 0
 
 
-def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> LpResult:
+def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
     """Mehrotra predictor-corrector interior-point solve.
 
     Converges when the scaled primal/dual residuals and the relative duality
     gap all drop below ``_TOL``. Raises NumericalBreakdown on non-finite
-    iterates or an unfactorable Newton system. LPs without finite upper
-    bounds run the same code, on empty bound terms.
+    iterates, or when ``stage`` factors the Newton system at neither
+    regularization. LPs without finite upper bounds run the same code, on
+    empty bound terms.
 
-    ``_first_stage(kkt, d_inv, reg)``, when given, heads each iteration's
-    chain of Newton-solve stages (``_NewtonSolver``), before the assembled
-    KKT; ``kkt`` is the LP's ``_Unassembled`` matrix, whose residual refines
-    every stage's solves. ``hottopixx`` and ``metrics.rho`` pass stages that
-    exploit their LPs' structure. Without one, every iteration factors the
-    assembled KKT by a pivoted LU.
+    ``stage(kkt, d_inv, reg)`` factors the Newton system and returns its
+    ``solve(rhs)``, or raises RuntimeError or numpy's LinAlgError; ``kkt`` is
+    the LP's ``_Unassembled`` matrix, whose residual refines every solve.
+    ``hottopixx`` and ``metrics.rho`` pass stages that exploit their LPs'
+    structure.
     """
     A = sp.csr_matrix(prob.a_eq)
     AT = sp.csc_matrix(A.T)
@@ -145,17 +152,15 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
         d_inv = z / x
         d_inv[bd] += q / w
 
-        solver = None
-        reg = 1e-12
-        while solver is None:
-            stages = [partial(_first_stage, unassembled, d_inv, reg)] if _first_stage else []
-            stages.append(partial(_assembled_stage, partial(_kkt_matrix, A, AT, d_inv, reg)))
-            try:
-                solver = _NewtonSolver(stages, partial(unassembled.residual, d_inv + reg, reg))
-            except RuntimeError:
-                reg *= 1e4
-                if reg > 1e-2:
-                    raise NumericalBreakdown("KKT system is singular") from None
+        retry_reg = _REG + _RETRY_REG
+        stages = [partial(stage, unassembled, d_inv, reg) for reg in (_REG, retry_reg)]
+        try:
+            solver = _NewtonSolver(stages, partial(unassembled.residual, d_inv + _REG, _REG))
+        except RuntimeError:
+            raise NumericalBreakdown(
+                f"the {neq} x {nv} LP's Newton stage cannot factor at iteration {it}, "
+                f"at reg {_REG:g} or at its retry's reg {retry_reg:g}"
+            ) from None
 
         def newton(rxz, rwq):
             rhat = rd - rxz / x
@@ -211,26 +216,9 @@ def solve_lp_ipm(prob: LpProblem, max_iter: int = 200, *, _first_stage=None) -> 
     )
 
 
-def _kkt_matrix(a, at, d_inv, reg: float) -> sp.csc_matrix:
-    """The augmented matrix [[-(D + reg I), A'], [A, reg I]] in CSC form."""
-    return sp.bmat(
-        [
-            [sp.diags(-(d_inv + reg)), at],
-            [a, sp.diags(np.full(a.shape[0], reg))],
-        ],
-        format="csc",
-    )
-
-
 def _max_abs(v: np.ndarray) -> float:
     """The largest |v_i|, and 0 for an empty v."""
     return float(np.abs(v).max(initial=0.0))
-
-
-def _assembled_stage(build_kkt):
-    """The chain's last stage: a partially pivoted LU of the assembled KKT,
-    which ``build_kkt()`` builds only when the chain reaches this stage."""
-    return splu(build_kkt()).solve
 
 
 class _Unassembled:

@@ -51,7 +51,7 @@ def rho(w) -> float:
     best = np.inf
     for signs in itertools.product((1.0, -1.0), repeat=r - 1):
         ws = wm * np.asarray((1.0, *signs))[None, :]
-        res = solve_lp_ipm(sign_pattern_lp(ws), _first_stage=partial(_sign_pattern_stage, ws))
+        res = solve_lp_ipm(sign_pattern_lp(ws), partial(_sign_pattern_stage, ws))
         if res.status != STATUS_OPTIMAL:
             raise MaxIterations("sign-pattern LP did not converge")
         best = min(best, res.objective)
@@ -94,7 +94,7 @@ def sign_pattern_lp(ws: np.ndarray) -> LpProblem:
 
 
 def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
-    """The first stage of ``lp``'s Newton-solve chain for ``sign_pattern_lp(ws)``.
+    """``lp``'s Newton-solve stage for ``sign_pattern_lp(ws)``.
 
     With theta = 1 / (D + reg), each band's t/s1/s2 triple and its rows E1,
     E2 eliminate in closed form (``lp._epigraph_closed_form``, with
@@ -108,8 +108,8 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
     no sparse factorization.
 
     Raises numpy's LinAlgError when the factor is singular (or D is
-    indefinite), so the chain falls back to the assembled KKT. Returns the
-    solve, which the chain refines; ``kkt`` is not read.
+    indefinite), so the chain moves to this stage's retry at a larger reg.
+    Returns the solve, which the chain refines; ``kkt`` is not read.
     """
     d, r = ws.shape
     diag = d_inv + reg

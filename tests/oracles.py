@@ -13,6 +13,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lstsq as _lstsq
+from scipy.sparse.linalg import splu
 
 from conered.errors import (
     DegenerateVector,
@@ -335,6 +336,29 @@ def kmeans_inertia(x: np.ndarray, labels: np.ndarray) -> float:
         c = pts.mean(axis=1, keepdims=True)
         total += float(((pts - c) ** 2).sum())
     return total
+
+
+def kkt_matrix(a, at, d_inv, reg: float) -> sp.csc_matrix:
+    """``lp``'s augmented matrix [[-(D + reg I), A'], [A, reg I]], assembled
+    in CSC form."""
+    return sp.bmat(
+        [
+            [sp.diags(-(d_inv + reg)), at],
+            [a, sp.diags(np.full(a.shape[0], reg))],
+        ],
+        format="csc",
+    )
+
+
+def assembled_stage(kkt, d_inv, reg: float):
+    """A Newton-solve stage for any LP: SuperLU's partially pivoted LU of the
+    assembled KKT (``kkt_matrix``).
+
+    ``kkt`` is the LP's ``lp._Unassembled`` matrix, as for the library's
+    structured stages. Raises RuntimeError when the matrix is exactly
+    singular.
+    """
+    return splu(kkt_matrix(kkt.a, kkt.at, d_inv, reg)).solve
 
 
 def solve_lp_simplex(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +24,9 @@ from conered import (
 )
 from conered.errors import BadRank, DegenerateDiagonal
 from conered.hottopixx import _block_stage, _ModelHKkt, audit_model_h, write_model_lp
-from conered.lp import _assembled_stage, _kkt_matrix, _NewtonSolver, _Unassembled, solve_lp_ipm
+from conered.lp import _NewtonSolver, _Unassembled, solve_lp_ipm
 
-from oracles import model_h_lp_loop, simplex_model_h
+from oracles import assembled_stage, kkt_matrix, model_h_lp_loop, simplex_model_h
 
 
 def test_lp_encoding_shapes():
@@ -172,17 +176,15 @@ def test_lp_matches_loop_reference(m):
 def _kkt_parts(a, d, reg=1e-12):
     a_eq = model_h_lp(build_model_h(a, 4)).a_eq
     at = sp.csc_matrix(a_eq.T)
-    return a_eq, at, _kkt_matrix(a_eq, at, d, reg)
+    return a_eq, at, kkt_matrix(a_eq, at, d, reg)
 
 
-def _model_h_chain(a, a_eq, at, d, kkt, reg=1e-12):
-    # the chain solve_model_h gives solve_lp_ipm: the block solve, then the
-    # KKT, both refined against the unassembled KKT
+def _model_h_chain(a, a_eq, at, d, reg=1e-12):
+    # the block solve, then the oracle's assembled KKT, both refined against
+    # the unassembled KKT
     unassembled = _Unassembled(a_eq, at)
-    stage = partial(_block_stage, a, unassembled, d, reg)
-    return _NewtonSolver(
-        [stage, partial(_assembled_stage, lambda: kkt)], partial(unassembled.residual, d + reg, reg)
-    )
+    stages = [partial(_block_stage, a, unassembled, d, reg), partial(assembled_stage, unassembled, d, reg)]
+    return _NewtonSolver(stages, partial(unassembled.residual, d + reg, reg))
 
 
 def test_block_solve_matches_dense_solve_over_twenty_decades():
@@ -193,7 +195,7 @@ def test_block_solve_matches_dense_solve_over_twenty_decades():
     d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
     a_eq, at, kkt = _kkt_parts(a, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _model_h_chain(a, a_eq, at, d, kkt)
+    solver = _model_h_chain(a, a_eq, at, d)
     x = solver.solve(b)
     assert not solver.fell_back
     assert _Unassembled(a_eq, at).residual(d + 1e-12, 1e-12, x, b)[1] <= 1e-13
@@ -217,7 +219,7 @@ def test_block_solve_without_a_factor_uses_the_assembled_kkt():
     b = rng.standard_normal(kkt.shape[0])
     with pytest.raises(np.linalg.LinAlgError):
         _ModelHKkt(a, a_eq, at, d, 1e-12)
-    solver = _model_h_chain(a, a_eq, at, d, kkt)
+    solver = _model_h_chain(a, a_eq, at, d)
     assert solver.fell_back
     x = solver.solve(b)
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-10, atol=1e-12)
@@ -240,8 +242,38 @@ def test_block_solve_keeps_iterations_and_fallbacks_on_extract_instance(monkeypa
     redic(HsiMatrix(a), RedicConfig(r=4, lam=4, tau=2, p=30))
     assert [res.iterations for _, res in calls] == [26, 29]
     for prob, res in calls:
-        assembled = solve_lp_ipm(prob)
+        assembled = solve_lp_ipm(prob, assembled_stage)
         assert res.fallbacks <= 1
         assert assembled.fallbacks == 0
         assert res.iterations == assembled.iterations
         assert res.objective == pytest.approx(assembled.objective, rel=1e-9)
+
+
+_FULL_MODEL_H_UNDER_1_GB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conered import assemble, build_model_h, random_separable, reduce_dimension, solve_model_h
+from conered.hottopixx import audit_model_h
+a = reduce_dimension(assemble(random_separable(50, 200, 4, seed=3), 0.5), 4)
+model = build_model_h(a, 4)
+sol = solve_model_h(model)
+print(sol.status, sol.fallbacks, audit_model_h(model, sol.x_matrix)["ok"])
+"""
+
+
+def test_full_model_h_on_200_columns_converges_within_1_gb():
+    # the paper's un-reduced LP, m = 200 (KKT of 123601 rows): its block
+    # stage stalls near the end, and a pivoted LU of the assembled KKT ran
+    # out of a 1 GB address space there; the regularized retry needs about
+    # 110 MB. The limit is set in the child only; one BLAS thread keeps
+    # thread buffers out of it.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(hottopixx.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FULL_MODEL_H_UNDER_1_GB], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, fallbacks, audit_ok = proc.stdout.split()
+    assert status == "optimal"
+    assert int(fallbacks) >= 1
+    assert audit_ok == "True"

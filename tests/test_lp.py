@@ -7,23 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from conered.errors import DimensionMismatch, MaxIterations
+from conered.errors import DimensionMismatch, MaxIterations, NumericalBreakdown
 from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
     _REFINE_ACCEPT,
     _REFINE_TARGET,
     STATUS_OPTIMAL,
     LpProblem,
-    _assembled_stage,
     _backward_error,
-    _kkt_matrix,
     _NewtonSolver,
     _Unassembled,
     solve_lp_ipm,
     write_lp_text,
 )
 
-from oracles import STATUS_INFEASIBLE, solve_lp_simplex
+from oracles import STATUS_INFEASIBLE, assembled_stage, kkt_matrix, solve_lp_simplex
 
 
 def _tiny_problem():
@@ -37,7 +35,7 @@ def _tiny_problem():
 
 
 def test_ipm_tiny():
-    res = solve_lp_ipm(_tiny_problem())
+    res = solve_lp_ipm(_tiny_problem(), assembled_stage)
     assert res.status == STATUS_OPTIMAL
     assert res.objective == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-8)
@@ -58,7 +56,7 @@ def test_upper_bound_becomes_active():
         b_eq=np.array([1.5]),
         ub=np.array([1.0, np.inf]),
     )
-    for solver in (solve_lp_ipm, solve_lp_simplex):
+    for solver in (partial(solve_lp_ipm, stage=assembled_stage), solve_lp_simplex):
         res = solver(prob)
         assert res.status == STATUS_OPTIMAL
         assert np.allclose(res.x, [1.0, 0.5], atol=1e-8)
@@ -116,7 +114,7 @@ def _random_bounded_problem(rng, neq=None, nv=None):
 def test_solvers_agree_on_random_bounded_problems(case_seed):
     rng = np.random.default_rng(case_seed)
     prob = _random_bounded_problem(rng)
-    ipm = solve_lp_ipm(prob)
+    ipm = solve_lp_ipm(prob, assembled_stage)
     simplex = solve_lp_simplex(prob)
     assert ipm.status == STATUS_OPTIMAL
     assert simplex.status == STATUS_OPTIMAL
@@ -129,7 +127,7 @@ def test_solvers_agree_on_random_bounded_problems(case_seed):
 
 def test_iteration_limit_is_reported():
     prob = _random_bounded_problem(np.random.default_rng(77))
-    res = solve_lp_ipm(prob, max_iter=1)
+    res = solve_lp_ipm(prob, assembled_stage, max_iter=1)
     assert res.status == "iteration-limit"
 
 
@@ -159,7 +157,7 @@ def test_lp_text_export(tmp_path):
 
 def _kkt(a_eq, d, reg=1e-12):
     a = sp.csr_matrix(a_eq)
-    return _kkt_matrix(a, sp.csc_matrix(a.T), d, reg)
+    return kkt_matrix(a, sp.csc_matrix(a.T), d, reg)
 
 
 def _normwise_residual(kkt, x, b):
@@ -174,9 +172,10 @@ def _assembled_residual(kkt, x, rhs):
 
 
 def _assembled_chain(kkt):
-    # the chain solve_lp_ipm runs without a first stage, refined against the
-    # assembled matrix, since some of these matrices are not KKTs
-    return _NewtonSolver([partial(_assembled_stage, lambda: kkt)], partial(_assembled_residual, kkt))
+    # one stage, SuperLU's pivoted LU of the given matrix (as the oracle's
+    # assembled stage factors a KKT), refined against that matrix, since
+    # some of these matrices are not KKTs
+    return _NewtonSolver([lambda: splu(kkt).solve], partial(_assembled_residual, kkt))
 
 
 def test_refined_pivoted_lu_solve_matches_dense_solve():
@@ -248,10 +247,11 @@ def test_chain_refines_a_perturbed_stage_against_the_unperturbed_kkt():
     d = 10.0 ** rng.uniform(-4.0, 4.0, nv)
     kkt = _kkt(a_eq, d)
     perturbed = splu((kkt + sp.diags(np.repeat([-1e-8, 1e-8], [nv, neq]))).tocsc())
-    residual = partial(_Unassembled(a_eq, sp.csc_matrix(a_eq.T)).residual, d + 1e-12, 1e-12)
+    unassembled = _Unassembled(a_eq, sp.csc_matrix(a_eq.T))
+    residual = partial(unassembled.residual, d + 1e-12, 1e-12)
     b = rng.standard_normal(kkt.shape[0])
     assert residual(perturbed.solve(b), b)[1] > _REFINE_ACCEPT
-    solver = _NewtonSolver([lambda: perturbed.solve, partial(_assembled_stage, lambda: kkt)], residual)
+    solver = _NewtonSolver([lambda: perturbed.solve, partial(assembled_stage, unassembled, d, 1e-12)], residual)
     x = solver.solve(b)
     assert not solver.fell_back
     assert residual(x, b)[1] <= _REFINE_TARGET
@@ -319,3 +319,17 @@ def test_chain_keeps_the_better_answer_but_moves_to_the_next_stage(later_omega):
     del log[:]
     assert solver.solve(np.zeros(2)).tolist() == [2.0, 2.0]
     assert log and set(log) == {("solve", 2.0)}
+
+
+def test_stage_that_never_factors_raises_a_named_breakdown():
+    # neither the stage at reg nor its retry factors: the error names the
+    # LP's size, the iteration and both regularizations
+    def singular(kkt, d_inv, reg):
+        raise np.linalg.LinAlgError("singular")
+
+    with pytest.raises(NumericalBreakdown) as info:
+        solve_lp_ipm(_tiny_problem(), singular)
+    assert str(info.value) == (
+        "the 1 x 2 LP's Newton stage cannot factor at iteration 1, "
+        "at reg 1e-12 or at its retry's reg 1.0001e-08"
+    )

@@ -20,10 +20,10 @@ from conered import (
 )
 from conered import metrics
 from conered.errors import KSmallerThanR, TooManyColumns
-from conered.lp import STATUS_OPTIMAL, _assembled_stage, _kkt_matrix, _NewtonSolver, _Unassembled, solve_lp_ipm
+from conered.lp import STATUS_OPTIMAL, _NewtonSolver, _Unassembled, solve_lp_ipm
 from conered.metrics import _sign_pattern_stage, abundance_maxima, sign_pattern_lp
 
-from oracles import assignment_enumerate, rho_grid, sign_pattern_lp_stacked
+from oracles import assembled_stage, assignment_enumerate, kkt_matrix, rho_grid, sign_pattern_lp_stacked
 
 
 def test_rho_identity():
@@ -54,7 +54,7 @@ def _rho_all_patterns(w):
     """rho as the minimum over every one of the 2^r sign patterns."""
     best = np.inf
     for signs in itertools.product((1.0, -1.0), repeat=w.shape[1]):
-        res = solve_lp_ipm(sign_pattern_lp(w * np.asarray(signs)[None, :]))
+        res = solve_lp_ipm(sign_pattern_lp(w * np.asarray(signs)[None, :]), assembled_stage)
         assert res.status == STATUS_OPTIMAL
         best = min(best, res.objective)
     return max(best, 0.0)
@@ -123,15 +123,15 @@ def test_sign_pattern_lp_matches_stacked_reference():
 
 
 def _sign_pattern_chain(ws, d, reg=1e-12):
-    # the chain rho gives solve_lp_ipm: the sign-pattern stage, then the KKT,
-    # both refined against the unassembled KKT
+    # the sign-pattern stage, then the oracle's assembled KKT, both refined
+    # against the unassembled KKT
     a_eq = sign_pattern_lp(ws).a_eq
     at = sp.csc_matrix(a_eq.T)
-    kkt = _kkt_matrix(a_eq, at, d, reg)
+    kkt = kkt_matrix(a_eq, at, d, reg)
     unassembled = _Unassembled(a_eq, at)
-    stage = partial(_sign_pattern_stage, ws, unassembled, d, reg)
+    stages = [partial(_sign_pattern_stage, ws, unassembled, d, reg), partial(assembled_stage, unassembled, d, reg)]
     residual = partial(unassembled.residual, d + reg, reg)
-    return _NewtonSolver([stage, partial(_assembled_stage, lambda: kkt)], residual), unassembled, kkt
+    return _NewtonSolver(stages, residual), unassembled, kkt
 
 
 def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
@@ -181,7 +181,7 @@ def test_sign_pattern_stage_keeps_iterations_on_rho_instance(monkeypatch):
     assert len(calls) == 64
     assert sum(res.iterations for _, res in calls) == 747
     for prob, res in calls:
-        assembled = solve_lp_ipm(prob)
+        assembled = solve_lp_ipm(prob, assembled_stage)
         assert res.fallbacks == 0
         assert res.iterations == assembled.iterations
         assert res.objective == pytest.approx(assembled.objective, rel=1e-12)
