@@ -16,10 +16,7 @@ explains it best, and return each group's most central member.
 of ``model_h_lp``, with a Newton-solve stage that uses the model's structure
 (``_ModelHKkt``): X's columns are independent blocks joined only by diag(X)
 and the trace row, so each iteration factors one q x q matrix per column and
-one m x m Schur complement on diag(X), and no sparse matrix. When that stage
-cannot factor or its refinement stalls, ``lp``'s chain retries it at a
-larger regularization for the rest of the iteration, and
-``LpSolution.fallbacks`` counts it.
+one m x m Schur complement on diag(X), and no sparse matrix.
 """
 
 from __future__ import annotations
@@ -53,18 +50,13 @@ class ModelH:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solved model: X, the attained objective 1'T1, and the solver status.
-
-    ``fallbacks`` counts the iterations whose Newton system went to the
-    block solve's retry at a larger regularization.
-    """
+    """Solved model: X, the attained objective 1'T1, and the solver status."""
 
     x_matrix: np.ndarray
     objective: float
     status: str
     gap: float
     iterations: int
-    fallbacks: int = 0
 
 
 def build_model_h(a, r: int) -> ModelH:
@@ -152,7 +144,6 @@ def solve_model_h(model: ModelH) -> LpSolution:
         status=res.status,
         gap=res.gap,
         iterations=res.iterations,
-        fallbacks=res.fallbacks,
     )
 
 
@@ -160,7 +151,7 @@ def _block_stage(a_dict, kkt, d_inv, reg):
     """``lp``'s Newton-solve stage for Model H.
 
     ``kkt`` is the LP's ``lp._Unassembled`` matrix. Returns
-    ``_ModelHKkt``'s solve, which the chain refines.
+    ``_ModelHKkt``'s solve, which ``lp`` refines.
     """
     return _ModelHKkt(a_dict, kkt.a, kkt.at, d_inv, reg)._solve_once
 
@@ -200,8 +191,7 @@ class _ModelHKkt:
     2009).
 
     The constructor factors, and raises numpy's LinAlgError when a factor
-    is singular. The chain refines ``_solve_once`` and hands a stalled solve
-    to its retry at a larger reg.
+    is singular; ``lp`` refines ``_solve_once``.
     """
 
     def __init__(self, a_dict: np.ndarray, a_eq, at, d_inv: np.ndarray, reg: float):

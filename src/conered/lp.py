@@ -11,21 +11,15 @@ form
 
 The caller supplies the stage that factors this system, one that knows its
 LP's structure: ``hottopixx`` does for Model H, and ``metrics`` for
-``rho``'s sign-pattern LPs. Each iteration's solves go through a chain of
-two stages (``_NewtonSolver``): that stage at reg, then the same stage at
-reg + ``_RETRY_REG``. The first that factors serves. The chain refines every
-solve, whichever stage made it, against the LP's one unassembled matrix at
-reg (``_Unassembled``) until its componentwise backward error is a few
-machine epsilons (Arioli, Demmel & Duff 1989), so the retry's larger
-regularization perturbs the factor and not the answer (Altman & Gondzio
-1999; Friedlander & Orban 2012). A solve whose refinement stalls above
-``_REFINE_ACCEPT`` is redone by the retry, which serves the rest of the
-iteration; this happens near convergence, where D spans twenty orders of
-magnitude. Both LPs' epigraph rows eliminate by one closed form
-(``_epigraph_closed_form``), and one solve (``_trace_bordered``) borders
-both reduced matrices with the trace row.
-``LpResult.fallbacks`` counts the iterations served by the retry. The solver
-is deterministic.
+``rho``'s sign-pattern LPs. Each iteration factors it once, at reg, and
+refines every solve against the LP's one unassembled matrix at reg
+(``_Unassembled``) until its componentwise backward error is a few machine
+epsilons (Arioli, Demmel & Duff 1989) or stops halving. A solve that stalls
+above that, which happens near convergence where D spans twenty orders of
+magnitude, is taken as an inexact Newton direction (Gondzio 2012). Both
+LPs' epigraph rows eliminate by one closed form (``_epigraph_closed_form``),
+and one solve (``_trace_bordered``) borders both reduced matrices with the
+trace row. The solver is deterministic.
 
 ``write_lp_text`` exports a problem in the plain-text LP file format, so an
 external solver can check it.
@@ -47,18 +41,10 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 
 _EPS = float(np.finfo(np.float64).eps)
 _TOL = 1e-10  # convergence: scaled residuals and relative gap all below this
-# Refinement stops at this componentwise backward error ...
+# Refinement stops at this componentwise backward error.
 _REFINE_TARGET = 4.0 * _EPS
-# ... and a solve that stalls above this one is redone by the retry.
-_REFINE_ACCEPT = 4096.0 * _EPS
-# The regularization of every Newton system, and what the chain's second
-# stage, the retry, adds to it. On extract-lp's seeds 1-12 (72 Model H LPs,
-# 30 of which reach the retry), 1e-10, 1e-8 and 1e-6 all gave the same
-# picks, iteration counts and fallbacks, and objectives within 3.4e-14
-# relative of a retry by a pivoted LU of the assembled KKT, so the middle
-# one is kept.
+# The regularization of every Newton system.
 _REG = 1e-12
-_RETRY_REG = 1e-8
 
 
 @dataclass
@@ -88,9 +74,6 @@ class LpResult:
     status: str
     iterations: int
     gap: float
-    # Iterations in which the stage at reg stalled or could not factor, and
-    # its retry at reg + _RETRY_REG took over.
-    fallbacks: int = 0
 
 
 def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
@@ -98,13 +81,13 @@ def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
 
     Converges when the scaled primal/dual residuals and the relative duality
     gap all drop below ``_TOL``. Raises NumericalBreakdown on non-finite
-    iterates, or when ``stage`` factors the Newton system at neither
-    regularization. LPs without finite upper bounds run the same code, on
-    empty bound terms.
+    iterates, or when ``stage`` cannot factor the Newton system. LPs without
+    finite upper bounds run the same code, on empty bound terms.
 
     ``stage(kkt, d_inv, reg)`` factors the Newton system and returns its
     ``solve(rhs)``, or raises RuntimeError or numpy's LinAlgError; ``kkt`` is
-    the LP's ``_Unassembled`` matrix, whose residual refines every solve.
+    the LP's ``_Unassembled`` matrix, whose residual refines every solve;
+    the refined solve is taken whatever its backward error.
     ``hottopixx`` and ``metrics.rho`` pass stages that exploit their LPs'
     structure.
     """
@@ -129,7 +112,6 @@ def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
 
     status = STATUS_ITERATION_LIMIT
     it = 0
-    fallbacks = 0
     relgap = np.inf
     for it in range(1, max_iter + 1):
         qf = np.zeros(nv)
@@ -152,20 +134,18 @@ def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
         d_inv = z / x
         d_inv[bd] += q / w
 
-        retry_reg = _REG + _RETRY_REG
-        stages = [partial(stage, unassembled, d_inv, reg) for reg in (_REG, retry_reg)]
         try:
-            solver = _NewtonSolver(stages, partial(unassembled.residual, d_inv + _REG, _REG))
-        except RuntimeError:
+            solve = stage(unassembled, d_inv, _REG)
+        except (RuntimeError, np.linalg.LinAlgError):
             raise NumericalBreakdown(
-                f"the {neq} x {nv} LP's Newton stage cannot factor at iteration {it}, "
-                f"at reg {_REG:g} or at its retry's reg {retry_reg:g}"
+                f"the {neq} x {nv} LP's Newton stage cannot factor at iteration {it}, at reg {_REG:g}"
             ) from None
+        residual = partial(unassembled.residual, d_inv + _REG, _REG)
 
         def newton(rxz, rwq):
             rhat = rd - rxz / x
             rhat[bd] += (rwq - q * ru) / w
-            sol = solver.solve(np.concatenate([rhat, rp]))
+            sol = _refine(solve, residual, np.concatenate([rhat, rp]))[0]
             dx, dy = sol[:nv], sol[nv:]
             dz = (rxz - z * dx) / x
             dw = ru - dx[bd]
@@ -194,7 +174,6 @@ def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
         )
         ap = 0.9995 * min(max_step(x, dx), max_step(w, dw))
         ad = 0.9995 * min(max_step(z, dz), max_step(q, dq))
-        fallbacks += solver.fell_back
 
         x = x + ap * dx
         w = w + ap * dw
@@ -212,7 +191,6 @@ def solve_lp_ipm(prob: LpProblem, stage, max_iter: int = 200) -> LpResult:
         status=status,
         iterations=it,
         gap=relgap,
-        fallbacks=fallbacks,
     )
 
 
@@ -225,8 +203,7 @@ class _Unassembled:
     """One LP's augmented matrix [[-diag, A'], [A, reg I]], never assembled.
 
     |A| and |A'| are built once per LP. ``residual``, with ``diag`` the
-    iteration's D + reg, is the one measure the chain refines every stage's
-    solves against.
+    iteration's D + reg, is the one measure every solve is refined against.
     """
 
     def __init__(self, a, at):
@@ -284,53 +261,6 @@ def _trace_bordered(root: np.ndarray, reg: float):
         return u + v * t, t
 
     return solve
-
-
-class _NewtonSolver:
-    """One iteration's Newton solves, served by a chain of stages.
-
-    A stage is a callable that factors the system and returns its
-    ``solve(rhs)``, or raises RuntimeError or numpy's LinAlgError when it
-    cannot factor. ``residual(x, rhs)``, the residual of x against the
-    unfactored system and its componentwise backward error, is the chain's:
-    every stage's solves are refined and compared by it, so a stage that
-    factors a perturbed matrix is still refined against the system itself.
-    The first stage that factors serves; the constructor raises RuntimeError
-    when none does. A solve whose backward error stays above
-    ``_REFINE_ACCEPT`` is redone by the next stage that factors, which serves
-    the rest of the iteration, and the answer with the smaller error is kept
-    (the earlier one on a tie). ``fell_back`` is True once a stage after the
-    first serves.
-    """
-
-    def __init__(self, stages, residual):
-        self._stages = enumerate(stages)
-        self._residual = residual
-        self._serving = self._next_stage()
-        if self._serving is None:
-            raise RuntimeError("no stage can factor the Newton system")
-
-    def _next_stage(self):
-        for index, stage in self._stages:
-            try:
-                solve = stage()
-            except (RuntimeError, np.linalg.LinAlgError):
-                continue
-            self.fell_back = index > 0
-            return solve
-        return None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, omega = _refine(self._serving, self._residual, rhs)
-        while omega > _REFINE_ACCEPT:
-            solve = self._next_stage()
-            if solve is None:
-                break
-            self._serving = solve
-            x_next, omega_next = _refine(solve, self._residual, rhs)
-            if omega_next < omega:
-                x, omega = x_next, omega_next
-        return x
 
 
 def _refine(solve, residual, rhs):

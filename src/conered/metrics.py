@@ -108,8 +108,8 @@ def _sign_pattern_stage(ws: np.ndarray, kkt, d_inv: np.ndarray, reg: float):
     no sparse factorization.
 
     Raises numpy's LinAlgError when the factor is singular (or D is
-    indefinite), so the chain moves to this stage's retry at a larger reg.
-    Returns the solve, which the chain refines; ``kkt`` is not read.
+    indefinite). Returns the solve, which ``lp`` refines; ``kkt`` is not
+    read.
     """
     d, r = ws.shape
     diag = d_inv + reg

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -296,3 +297,27 @@ def test_csv_format_flag(tmp_path, capsys):
     assert code == 0
     header = open(path).readline()
     assert "," in header
+
+
+def _stdout_writes(path):
+    """Lines of ``path`` that call print or name stdout."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in ("stdout", "__stdout__") for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_cli_writes_to_stdout():
+    # a caller's stdout is its own: perfbench reads its last line as the
+    # result, and the CLI's outputs are byte-compared
+    package = Path(conered.__file__).parent
+    writes = {
+        path.name: _stdout_writes(path) for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+    }
+    assert writes and not {name: lines for name, lines in writes.items() if lines}
+    assert _stdout_writes(package / "cli.py")

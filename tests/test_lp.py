@@ -10,12 +10,11 @@ from scipy.sparse.linalg import splu
 from conered.errors import DimensionMismatch, MaxIterations, NumericalBreakdown
 from conered.hottopixx import build_model_h, model_h_lp
 from conered.lp import (
-    _REFINE_ACCEPT,
     _REFINE_TARGET,
     STATUS_OPTIMAL,
     LpProblem,
     _backward_error,
-    _NewtonSolver,
+    _refine,
     _Unassembled,
     solve_lp_ipm,
     write_lp_text,
@@ -171,11 +170,11 @@ def _assembled_residual(kkt, x, rhs):
     return r, _backward_error(r, abs(kkt) @ np.abs(x) + np.abs(rhs))
 
 
-def _assembled_chain(kkt):
-    # one stage, SuperLU's pivoted LU of the given matrix (as the oracle's
-    # assembled stage factors a KKT), refined against that matrix, since
-    # some of these matrices are not KKTs
-    return _NewtonSolver([lambda: splu(kkt).solve], partial(_assembled_residual, kkt))
+def _refined_pivoted_lu(kkt, b):
+    # SuperLU's pivoted LU of the given matrix (as the oracle's assembled
+    # stage factors a KKT), refined against that matrix, since some of these
+    # matrices are not KKTs
+    return _refine(splu(kkt).solve, partial(_assembled_residual, kkt), b)[0]
 
 
 def test_refined_pivoted_lu_solve_matches_dense_solve():
@@ -185,9 +184,7 @@ def test_refined_pivoted_lu_solve_matches_dense_solve():
     d = 10.0 ** rng.uniform(-10.0, 10.0, nv)
     kkt = _kkt(prob.a_eq, d)
     b = rng.standard_normal(kkt.shape[0])
-    solver = _assembled_chain(kkt)
-    x = solver.solve(b)
-    assert not solver.fell_back
+    x = _refined_pivoted_lu(kkt, b)
     omega = _assembled_residual(kkt, x, b)[1]
     assert omega <= 1e-13
     dense = np.linalg.solve(kkt.toarray(), b)
@@ -201,9 +198,7 @@ def test_kkt_with_vanishing_diagonal_is_solved(d0):
     # off-diagonal 1 as its pivot instead
     kkt = _kkt(sp.csr_matrix([[1.0, 1.0]]), np.array([d0, 1.0]), reg=0.0)
     b = np.array([1.0, 2.0, 3.0])
-    solver = _assembled_chain(kkt)
-    x = solver.solve(b)
-    assert not solver.fell_back
+    x = _refined_pivoted_lu(kkt, b)
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
 
@@ -212,9 +207,7 @@ def test_singular_diagonal_factorization_uses_pivoted_lu():
     # the pivoted LU (and the matrix, with determinant -2e40) does not
     kkt = sp.csc_matrix(np.array([[2.0, 2.0, 1e20], [2.0, 2.0, 0.0], [1e20, 0.0, 1e-300]]))
     b = np.array([1.0, 2.0, 3.0])
-    solver = _assembled_chain(kkt)
-    x = solver.solve(b)
-    assert not solver.fell_back
+    x = _refined_pivoted_lu(kkt, b)
     assert _assembled_residual(kkt, x, b)[1] <= _REFINE_TARGET
     assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-14, atol=0.0)
 
@@ -239,8 +232,8 @@ def test_unassembled_residual_matches_the_assembled_kkt_with_a_negative_diagonal
 
 def test_chain_refines_a_perturbed_stage_against_the_unperturbed_kkt():
     # a stage that factors K + 1e-8 diag(-I, +I), as a regularized stage
-    # would, answers to about 1e-5; the chain's residual is K's, so
-    # refinement brings it to the target without the next stage
+    # would, answers to about 1e-5; refinement against K's own residual
+    # brings it to the target
     rng = np.random.default_rng(83)
     a_eq = model_h_lp(build_model_h(rng.random((4, 39)), 4)).a_eq
     neq, nv = a_eq.shape
@@ -250,86 +243,33 @@ def test_chain_refines_a_perturbed_stage_against_the_unperturbed_kkt():
     unassembled = _Unassembled(a_eq, sp.csc_matrix(a_eq.T))
     residual = partial(unassembled.residual, d + 1e-12, 1e-12)
     b = rng.standard_normal(kkt.shape[0])
-    assert residual(perturbed.solve(b), b)[1] > _REFINE_ACCEPT
-    solver = _NewtonSolver([lambda: perturbed.solve, partial(assembled_stage, unassembled, d, 1e-12)], residual)
-    x = solver.solve(b)
-    assert not solver.fell_back
-    assert residual(x, b)[1] <= _REFINE_TARGET
+    assert residual(perturbed.solve(b), b)[1] > 1024.0 * _REFINE_TARGET
+    x, omega = _refine(perturbed.solve, residual, b)
+    assert omega == residual(x, b)[1] <= _REFINE_TARGET
     dense = np.linalg.solve(kkt.toarray(), b)
     assert np.abs(x - dense).max() <= 1e-11 * np.abs(dense).max()
 
 
-def _fake_stage(value, log):
-    # a stage whose solve returns `value` everywhere
-    def factor():
-        log.append(("factor", value))
-
-        def solve(rhs):
-            log.append(("solve", value))
-            return np.full(rhs.shape, value)
-
-        return solve
-
-    return factor
-
-
-def _fake_residual(omegas):
-    # the backward error omegas[v] for an answer equal to v everywhere, and
-    # inf for any other answer (such as a refinement step's sum)
-    return lambda x, rhs: (np.zeros_like(rhs), omegas.get(float(x[0]), np.inf))
-
-
-def _failing_stage(log):
-    def factor():
-        log.append(("factor", None))
-        raise RuntimeError("matrix is exactly singular")
-
-    return factor
-
-
-def test_chain_without_a_stage_that_factors_raises():
-    log = []
-    with pytest.raises(RuntimeError):
-        _NewtonSolver([_failing_stage(log), _failing_stage(log)], _fake_residual({}))
-    assert log == [("factor", None)] * 2
-
-
-def test_chain_keeps_its_stage_when_the_next_cannot_factor():
-    log = []
-    solver = _NewtonSolver([_fake_stage(1.0, log), _failing_stage(log)], _fake_residual({1.0: 1e-6}))
-    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
-    assert not solver.fell_back
-    assert log[-1] == ("factor", None)
-    del log[:]
-    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
-    assert not solver.fell_back
-    assert log and set(log) == {("solve", 1.0)}
-
-
-@pytest.mark.parametrize("later_omega", [1e-6, 1e-8])
-def test_chain_keeps_the_better_answer_but_moves_to_the_next_stage(later_omega):
-    # both stages stall above _REFINE_ACCEPT; the later one is worse or tied
-    log = []
-    solver = _NewtonSolver(
-        [_fake_stage(1.0, log), _fake_stage(2.0, log)], _fake_residual({1.0: 1e-8, 2.0: later_omega})
-    )
-    assert solver.solve(np.zeros(2)).tolist() == [1.0, 1.0]
-    assert solver.fell_back
-    assert ("solve", 2.0) in log
-    del log[:]
-    assert solver.solve(np.zeros(2)).tolist() == [2.0, 2.0]
-    assert log and set(log) == {("solve", 2.0)}
+def test_stalled_refinement_returns_its_answer():
+    # a solve that returns 0.4 of the answer: each refinement step cuts the
+    # error by only 0.6, so refinement stops at once, far above
+    # _REFINE_TARGET, and the answer is returned with its error instead of
+    # raising, for the IPM to take as an inexact direction
+    rng = np.random.default_rng(87)
+    kkt = _kkt(sp.csr_matrix(rng.standard_normal((3, 6))), 10.0 ** rng.uniform(-2.0, 2.0, 6))
+    exact = splu(kkt).solve
+    b = rng.standard_normal(kkt.shape[0])
+    residual = partial(_assembled_residual, kkt)
+    x, omega = _refine(lambda rhs: 0.4 * exact(rhs), residual, b)
+    assert np.array_equal(x, 0.4 * exact(b))
+    assert omega == residual(x, b)[1] > 1e6 * _REFINE_TARGET
 
 
 def test_stage_that_never_factors_raises_a_named_breakdown():
-    # neither the stage at reg nor its retry factors: the error names the
-    # LP's size, the iteration and both regularizations
+    # the error names the LP's size, the iteration and the regularization
     def singular(kkt, d_inv, reg):
         raise np.linalg.LinAlgError("singular")
 
     with pytest.raises(NumericalBreakdown) as info:
         solve_lp_ipm(_tiny_problem(), singular)
-    assert str(info.value) == (
-        "the 1 x 2 LP's Newton stage cannot factor at iteration 1, "
-        "at reg 1e-12 or at its retry's reg 1.0001e-08"
-    )
+    assert str(info.value) == "the 1 x 2 LP's Newton stage cannot factor at iteration 1, at reg 1e-12"

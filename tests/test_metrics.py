@@ -20,7 +20,7 @@ from conered import (
 )
 from conered import metrics
 from conered.errors import KSmallerThanR, TooManyColumns
-from conered.lp import STATUS_OPTIMAL, _NewtonSolver, _Unassembled, solve_lp_ipm
+from conered.lp import STATUS_OPTIMAL, _refine, _Unassembled, solve_lp_ipm
 from conered.metrics import _sign_pattern_stage, abundance_maxima, sign_pattern_lp
 
 from oracles import assembled_stage, assignment_enumerate, kkt_matrix, rho_grid, sign_pattern_lp_stacked
@@ -122,16 +122,11 @@ def test_sign_pattern_lp_matches_stacked_reference():
             assert np.array_equal(getattr(prob, attr), getattr(ref, attr))
 
 
-def _sign_pattern_chain(ws, d, reg=1e-12):
-    # the sign-pattern stage, then the oracle's assembled KKT, both refined
-    # against the unassembled KKT
+def _sign_pattern_parts(ws, d, reg=1e-12):
+    # the LP's unassembled and assembled KKT
     a_eq = sign_pattern_lp(ws).a_eq
     at = sp.csc_matrix(a_eq.T)
-    kkt = kkt_matrix(a_eq, at, d, reg)
-    unassembled = _Unassembled(a_eq, at)
-    stages = [partial(_sign_pattern_stage, ws, unassembled, d, reg), partial(assembled_stage, unassembled, d, reg)]
-    residual = partial(unassembled.residual, d + reg, reg)
-    return _NewtonSolver(stages, residual), unassembled, kkt
+    return _Unassembled(a_eq, at), kkt_matrix(a_eq, at, d, reg)
 
 
 def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
@@ -139,10 +134,10 @@ def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
     ws = rng.standard_normal((50, 7))
     for _ in range(5):
         d = 10.0 ** rng.uniform(-10.0, 10.0, 7 + 3 * 50)
-        solver, unassembled, kkt = _sign_pattern_chain(ws, d)
+        unassembled, kkt = _sign_pattern_parts(ws, d)
         b = rng.standard_normal(kkt.shape[0])
-        x = solver.solve(b)
-        assert not solver.fell_back
+        residual = partial(unassembled.residual, d + 1e-12, 1e-12)
+        x = _refine(_sign_pattern_stage(ws, unassembled, d, 1e-12), residual, b)[0]
         assert unassembled.residual(d + 1e-12, 1e-12, x, b)[1] <= 1e-13
         r = b - kkt @ x
         knorm = abs(kkt).sum(axis=1).max()
@@ -151,18 +146,16 @@ def test_sign_pattern_stage_matches_dense_solve_over_twenty_decades():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
 def test_sign_pattern_stage_without_a_factor_uses_the_assembled_kkt():
-    # a negative weight on y has no square root, so N has no Cholesky factor
+    # a negative weight on y has no square root, so N has no Cholesky factor,
+    # and the stage raises the LinAlgError that solve_lp_ipm turns into a
+    # NumericalBreakdown
     rng = np.random.default_rng(86)
     ws = rng.standard_normal((6, 3))
     d = np.ones(3 + 3 * 6)
     d[:3] = -1.0
-    solver, unassembled, kkt = _sign_pattern_chain(ws, d)
+    unassembled, _ = _sign_pattern_parts(ws, d)
     with pytest.raises(np.linalg.LinAlgError):
         _sign_pattern_stage(ws, unassembled, d, 1e-12)
-    assert solver.fell_back
-    b = rng.standard_normal(kkt.shape[0])
-    x = solver.solve(b)
-    assert np.allclose(x, np.linalg.solve(kkt.toarray(), b), rtol=1e-10, atol=1e-12)
 
 
 def test_sign_pattern_stage_keeps_iterations_on_rho_instance(monkeypatch):
@@ -182,7 +175,6 @@ def test_sign_pattern_stage_keeps_iterations_on_rho_instance(monkeypatch):
     assert sum(res.iterations for _, res in calls) == 747
     for prob, res in calls:
         assembled = solve_lp_ipm(prob, assembled_stage)
-        assert res.fallbacks == 0
         assert res.iterations == assembled.iterations
         assert res.objective == pytest.approx(assembled.objective, rel=1e-12)
 

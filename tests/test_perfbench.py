@@ -32,8 +32,9 @@ def _traced_run(workload, seed=1):
 
 
 def test_traced_extract_run_ends_in_a_strict_json_result():
-    # a traced run stays on input 0; at seed 4 its first LP reaches the
-    # Newton stage's retry, so the fallback path runs under the tracer
+    # a traced run stays on input 0; at seed 4 its first LP has a Newton
+    # solve whose refinement stalls, so an inexact direction is taken under
+    # the tracer
     _traced_run("extract-lp", seed=4)
 
 
